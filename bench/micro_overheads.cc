@@ -1,7 +1,8 @@
 // Microbenchmarks for the per-scheme instrumentation costs the paper reasons about:
 // the hazard-pointer publish+fence, the epoch announcement, the StackTrack split
 // checkpoint (a counter increment in the common case), register exposure at segment
-// commit, and one reclaimer-side thread inspection.
+// commit, one reclaimer-side thread inspection, and the per-hop cost of a list
+// traversal as the compiled data structure pays it.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include "ds/list.h"
 #include "smr/epoch.h"
 #include "smr/hazard.h"
+#include "smr/leaky.h"
 #include "smr/stacktrack_smr.h"
 
 namespace stacktrack {
@@ -108,6 +110,29 @@ void BM_ListContains_StackTrack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ListContains_StackTrack);
+
+// Per-hop cost of a whole traversal: Contains of a key past the tail walks all 256
+// nodes, so time_per_hop is the per-call time over 256. Unlike a tight TxLoad loop this
+// pays everything a compiled hop pays: the instrumented loads, the checkpoint, the
+// preemption point, and (StackTrack) the segment commits the split limit forces.
+template <typename Smr>
+void BM_ListHop(benchmark::State& state) {
+  constexpr uint64_t kNodes = 256;
+  runtime::ThreadScope scope;
+  typename Smr::Domain domain;
+  auto& h = domain.AcquireHandle();
+  ds::LockFreeList<Smr> list;
+  for (uint64_t key = 1; key <= kNodes; ++key) {
+    list.Insert(h, key, key);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(list.Contains(h, kNodes + 1));
+  }
+  state.counters["time_per_hop"] = benchmark::Counter(
+      kNodes, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_TEMPLATE(BM_ListHop, smr::StackTrackSmr);
+BENCHMARK_TEMPLATE(BM_ListHop, smr::LeakySmr);
 
 }  // namespace
 }  // namespace stacktrack

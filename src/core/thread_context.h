@@ -180,31 +180,29 @@ class StContext {
   }
 
   // ---- Instrumented shared-memory access -------------------------------------------
+  // Always-inline fast paths; the slow-segment branches are out of line (see
+  // SlowLoad) so a traversal loop carries no slow-path register pressure.
   template <typename T>
-  T Load(const std::atomic<T>& src) {
-    if (slow_segment_) {
+  [[gnu::always_inline]] T Load(const std::atomic<T>& src) {
+    if (slow_segment_) [[unlikely]] {
       return SlowLoad(src);
     }
     return htm::TxLoad(src);
   }
 
   template <typename T>
-  void Store(std::atomic<T>& dst, T value) {
-    if (slow_segment_) {
-      SlowLoad(dst);  // record the location, then write directly (Algorithm 5)
-      htm::SafeStore(dst, value);
+  [[gnu::always_inline]] void Store(std::atomic<T>& dst, T value) {
+    if (slow_segment_) [[unlikely]] {
+      SlowStore(dst, value);
       return;
     }
     htm::TxStore(dst, value);
   }
 
   template <typename T>
-  bool Cas(std::atomic<T>& dst, T expected, T desired) {
-    if (slow_segment_) {
-      if (SlowLoad(dst) != expected) {
-        return false;
-      }
-      return htm::SafeCas(dst, expected, desired);
+  [[gnu::always_inline]] bool Cas(std::atomic<T>& dst, T expected, T desired) {
+    if (slow_segment_) [[unlikely]] {
+      return SlowCas(dst, expected, desired);
     }
     if (htm::TxLoad(dst) != expected) {
       return false;
@@ -216,7 +214,7 @@ class StContext {
   // StackTrack needs no publish-validate protocol: visibility comes from the scan plus
   // transaction conflicts. Part of the scheme-generic SMR API.
   template <typename T>
-  T Protect(const std::atomic<T>& src, uint32_t /*slot*/) {
+  [[gnu::always_inline]] T Protect(const std::atomic<T>& src, uint32_t /*slot*/) {
     return Load(src);
   }
   template <typename T>
@@ -324,8 +322,10 @@ class StContext {
                                  // (deterministic cliff); 0 = none observed
   };
 
+  // Slow-segment accesses (Algorithm 5). Never inlined: the retry loop would make
+  // every instrumented caller save and restore callee-saved registers.
   template <typename T>
-  T SlowLoad(const std::atomic<T>& src) {
+  [[gnu::noinline]] T SlowLoad(const std::atomic<T>& src) {
     static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
     while (true) {
       const T value = htm::SafeLoad(src);
@@ -345,6 +345,20 @@ class StContext {
       ref_set.Tombstone(slot);  // ignores kOverflowSlot
       ++stats.slow_read_retries;
     }
+  }
+
+  template <typename T>
+  [[gnu::noinline]] void SlowStore(std::atomic<T>& dst, T value) {
+    SlowLoad(dst);  // record the location, then write directly
+    htm::SafeStore(dst, value);
+  }
+
+  template <typename T>
+  [[gnu::noinline]] bool SlowCas(std::atomic<T>& dst, T expected, T desired) {
+    if (SlowLoad(dst) != expected) {
+      return false;
+    }
+    return htm::SafeCas(dst, expected, desired);
   }
 
   PredictorCell& CurrentCell();

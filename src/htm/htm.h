@@ -121,8 +121,12 @@ struct EngineOps;
 
 template <>
 struct EngineOps<StmEngine::kLazy> {
-  static uint64_t LoadWord(const std::atomic<uint64_t>* a) { return soft::TxLoadWord(a); }
-  static void StoreWord(std::atomic<uint64_t>* a, uint64_t v) { soft::TxStoreWord(a, v); }
+  [[gnu::always_inline]] static uint64_t LoadWord(const std::atomic<uint64_t>* a) {
+    return soft::TxLoadWord(a);
+  }
+  [[gnu::always_inline]] static void StoreWord(std::atomic<uint64_t>* a, uint64_t v) {
+    soft::TxStoreWord(a, v);
+  }
   static void Commit() { soft::Commit(); }
   [[noreturn]] static void Abort(int cause) { soft::Abort(cause); }
   static bool InTx() { return soft::CurrentTx().active; }
@@ -155,11 +159,11 @@ struct EngineOps<StmEngine::kOrec> {
   static const TxStats& Stats() { return orec::CurrentTx().stats; }
 };
 
-inline uint64_t StmLoadWord(const std::atomic<uint64_t>* a) {
+[[gnu::always_inline]] inline uint64_t StmLoadWord(const std::atomic<uint64_t>* a) {
   return ActiveStmEngineFast() == StmEngine::kLazy ? EngineOps<StmEngine::kLazy>::LoadWord(a)
                                                    : EngineOps<StmEngine::kOrec>::LoadWord(a);
 }
-inline void StmStoreWord(std::atomic<uint64_t>* a, uint64_t v) {
+[[gnu::always_inline]] inline void StmStoreWord(std::atomic<uint64_t>* a, uint64_t v) {
   ActiveStmEngineFast() == StmEngine::kLazy ? EngineOps<StmEngine::kLazy>::StoreWord(a, v)
                                             : EngineOps<StmEngine::kOrec>::StoreWord(a, v);
 }
@@ -234,10 +238,11 @@ inline void TxCommit() {
 // ---- Transactional data access -------------------------------------------------
 // T must be a trivially copyable 8-byte type (pointers, uint64_t); the data structures
 // in src/ds/ declare all shared fields that way so the soft engines can track writes
-// as words.
+// as words. TxLoad/TxStore down to the lazy engine's word access are always-inline:
+// the access fast path compiles into the caller's loop (DESIGN.md "Hot-path contract").
 
 template <typename T>
-inline T TxLoad(const std::atomic<T>& src) {
+[[gnu::always_inline]] inline T TxLoad(const std::atomic<T>& src) {
   static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
   if (ActiveBackendFast() == BackendKind::kRtm) {
     return src.load(std::memory_order_acquire);
@@ -247,7 +252,7 @@ inline T TxLoad(const std::atomic<T>& src) {
 }
 
 template <typename T>
-inline void TxStore(std::atomic<T>& dst, T value) {
+[[gnu::always_inline]] inline void TxStore(std::atomic<T>& dst, T value) {
   static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
   if (ActiveBackendFast() == BackendKind::kRtm) {
     dst.store(value, std::memory_order_release);

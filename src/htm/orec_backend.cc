@@ -20,6 +20,9 @@ constexpr int kCauseOther = 4;
 constexpr int kCauseConflictReader = 5;
 constexpr int kCauseConflictWriter = 6;
 
+// Seed of each thread's spurious-abort stream, applied at its first BeginPoint.
+constexpr uint64_t kRngSeed = 0x02f1beef;
+
 // Duel/drain budgets: each round also runs a ContentionWait round, so the
 // worst-case wait matches the lazy engine's 64-round contended-load spin.
 constexpr uint32_t kAcquireRounds = 64;
@@ -185,6 +188,9 @@ int BeginPoint(int jmp_rc) {
   tx.tid = tid;
   tx.active = true;
   ResetTx(tx);
+  if (!tx.rng.Seeded()) [[unlikely]] {
+    tx.rng.Seed(kRngSeed);  // first transaction of this thread
+  }
   const auto& model = runtime::MachineModel::Instance();
   tx.capacity_limit = model.CapacityLinesNow();
   tx.spurious_prob = model.SpuriousAbortProbNow();

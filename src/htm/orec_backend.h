@@ -87,10 +87,11 @@ struct UndoEntry {
   uint64_t value;  // pre-store value, restored in reverse order on abort
 };
 
+// All-zero at thread start (see tls_tx): BeginPoint sets tid and seeds rng.
 struct TxDesc {
-  std::jmp_buf env;  // armed by the begin-point macro
+  std::jmp_buf env = {};  // armed by the begin-point macro
   bool active = false;
-  uint32_t tid = runtime::kInvalidThreadId;
+  uint32_t tid = 0;  // owner of read slots; valid only while active
   uint32_t capacity_limit = 0;   // access budget for this attempt
   uint32_t fast_access_limit = 0;  // == capacity_limit, or 0 when spurious injection
                                    // is on so every access takes the checked path
@@ -101,15 +102,17 @@ struct TxDesc {
   uint32_t read_count = 0;
   uint32_t write_count = 0;
   uint32_t undo_count = 0;
-  uint32_t read_orecs[kReadSetEntries];    // orecs whose read slot we hold
-  uint32_t write_orecs[kWriteSetEntries];  // orecs whose writer word we hold
-  uint64_t write_prelock[kWriteSetEntries];  // their pre-lock words, for release
-  UndoEntry undo_log[kUndoLogEntries];
-  runtime::Xorshift128 rng{0x02f1beef};
+  uint32_t read_orecs[kReadSetEntries] = {};    // orecs whose read slot we hold
+  uint32_t write_orecs[kWriteSetEntries] = {};  // orecs whose writer word we hold
+  uint64_t write_prelock[kWriteSetEntries] = {};  // their pre-lock words, for release
+  UndoEntry undo_log[kUndoLogEntries] = {};
+  // Spurious-abort draws; seeded by the thread's first BeginPoint.
+  runtime::Xorshift128 rng{runtime::Xorshift128::kUnseeded};
   TxStats stats;
 };
 
-inline thread_local TxDesc tls_tx;
+// constinit and all-zero for the same reasons as the lazy engine's soft::tls_tx.
+constinit inline thread_local TxDesc tls_tx;
 inline TxDesc& CurrentTx() { return tls_tx; }
 
 // Writer words, one per orec. Contiguous like the lazy stripe table: stays

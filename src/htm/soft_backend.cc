@@ -17,6 +17,9 @@ constexpr int kCauseConflict = 1;
 constexpr int kCauseCapacity = 2;
 constexpr int kCauseOther = 4;
 
+// Seed of each thread's spurious-abort stream, applied at its first BeginPoint.
+constexpr uint64_t kRngSeed = 0x5eedbeef;
+
 void ResetTx(TxDesc& tx) {
   tx.read_count = 0;
   tx.write_count = 0;
@@ -59,6 +62,9 @@ int BeginPoint(int jmp_rc) {
   }
   tx.active = true;
   ResetTx(tx);
+  if (!tx.rng.Seeded()) [[unlikely]] {
+    tx.rng.Seed(kRngSeed);  // first transaction of this thread
+  }
   const auto& model = runtime::MachineModel::Instance();
   tx.capacity_limit = model.CapacityLinesNow();
   tx.spurious_prob = model.SpuriousAbortProbNow();

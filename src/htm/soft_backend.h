@@ -63,8 +63,10 @@ struct WriteLogEntry {
   uint64_t value;
 };
 
+// All-zero at thread start (see tls_tx): any nonzero initial state is set by
+// BeginPoint at first use.
 struct TxDesc {
-  std::jmp_buf env;  // armed by the begin-point macro
+  std::jmp_buf env = {};  // armed by the begin-point macro
   bool active = false;
   uint32_t capacity_limit = 0;  // access-log budget for this attempt
   uint32_t fast_read_limit = 0;  // min(log size, capacity), or 0 when spurious
@@ -82,14 +84,17 @@ struct TxDesc {
   // traversals hit this constantly (a node's key and next field share a line).
   // 0 is the sentinel (line 0 = the first 64 bytes of address space, never heap).
   uintptr_t last_read_line = 0;
-  ReadEntry read_log[kReadLogEntries];
-  WriteLogEntry write_log[kWriteLogEntries];
-  runtime::Xorshift128 rng{0x5eedbeef};
+  ReadEntry read_log[kReadLogEntries] = {};
+  WriteLogEntry write_log[kWriteLogEntries] = {};
+  // Spurious-abort draws; seeded by the thread's first BeginPoint.
+  runtime::Xorshift128 rng{runtime::Xorshift128::kUnseeded};
   TxStats stats;
 };
 
-// Inline thread-local so instrumented reads avoid an out-of-line call per access.
-inline thread_local TxDesc tls_tx;
+// constinit: constant-initialized, so an access is a plain %fs-relative load with no
+// per-access call to a TLS init wrapper, and all-zero, so the ~100 KiB descriptor
+// lives in .tbss instead of an initialization image every new thread copies.
+constinit inline thread_local TxDesc tls_tx;
 inline TxDesc& CurrentTx() { return tls_tx; }
 
 // Global stripe table and commit clock (single definitions via inline variables).
@@ -121,7 +126,7 @@ uint64_t TxLoadWordContended(const std::atomic<uint64_t>* addr);  // stripe was 
 // Read index reached fast_read_limit: capacity check, log, spurious draw.
 uint64_t TxLoadWordChecked(uint64_t value, uint32_t stripe, uint64_t version);
 
-inline uint64_t TxLoadWord(const std::atomic<uint64_t>* addr) {
+[[gnu::always_inline]] inline uint64_t TxLoadWord(const std::atomic<uint64_t>* addr) {
   TxDesc& tx = tls_tx;
   // Read-own-writes: the instrumented operations write at most a few words per
   // segment, so a linear scan beats any hashing.
@@ -164,7 +169,7 @@ inline uint64_t TxLoadWord(const std::atomic<uint64_t>* addr) {
   return value;
 }
 
-inline void TxStoreWord(std::atomic<uint64_t>* addr, uint64_t value) {
+[[gnu::always_inline]] inline void TxStoreWord(std::atomic<uint64_t>* addr, uint64_t value) {
   TxDesc& tx = tls_tx;
   ++tx.stats.stores;
   for (uint32_t w = 0; w < tx.write_count; ++w) {

@@ -29,7 +29,7 @@ struct StmTxCounters {
 };
 
 namespace internal {
-inline thread_local StmTxCounters tls_stm_counters;
+constinit inline thread_local StmTxCounters tls_stm_counters;
 }  // namespace internal
 
 inline StmTxCounters& CurrentStmCounters() { return internal::tls_stm_counters; }

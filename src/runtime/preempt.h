@@ -20,6 +20,7 @@
 
 #include "runtime/fault.h"
 #include "runtime/rand.h"
+#include "runtime/thread_registry.h"
 
 namespace stacktrack::runtime {
 
@@ -28,8 +29,9 @@ namespace internal {
 inline std::atomic<uint32_t> g_preempt_threshold{0};
 inline std::atomic<uint32_t> g_preempt_delay_us{5000};
 
-inline void PreemptPointSlow() {
-  thread_local Xorshift128 rng{0x9e370000ULL ^ reinterpret_cast<uintptr_t>(&rng)};
+// Seeded from the thread id, not an address, so armed runs replay from a seed.
+[[gnu::noinline]] inline void PreemptPointSlow() {
+  thread_local Xorshift128 rng{0x9e370000ULL ^ uint64_t{CurrentThreadId()}};
   if (static_cast<uint32_t>(rng.Next()) <
       g_preempt_threshold.load(std::memory_order_relaxed)) {
     usleep(g_preempt_delay_us.load(std::memory_order_relaxed));
@@ -51,7 +53,8 @@ inline void DisarmPreemption() {
 // Called by the data structures once per traversal step. Doubles as the fault
 // injector's thread-level fault point (kThreadStall / kThreadDeath), so every
 // traversal step is a place a thread can be stalled or killed deterministically.
-inline void PreemptPoint() {
+// Always-inline: two relaxed loads in the caller's loop, the rest out of line.
+[[gnu::always_inline]] inline void PreemptPoint() {
   if (internal::g_preempt_threshold.load(std::memory_order_relaxed) != 0) [[unlikely]] {
     internal::PreemptPointSlow();
   }

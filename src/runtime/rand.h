@@ -32,9 +32,19 @@ class SplitMix64 {
 // xoshiro-style xorshift128+: fast enough for one draw per simulated event.
 class Xorshift128 {
  public:
-  explicit Xorshift128(uint64_t seed = 0x853c49e6748fea9bULL) { Seed(seed); }
+  explicit constexpr Xorshift128(uint64_t seed = 0x853c49e6748fea9bULL) { Seed(seed); }
 
-  void Seed(uint64_t seed) {
+  // All-zero state, for constant-initialized holders (constinit thread_local
+  // descriptors) that must stay in zero-filled storage and seed at first use.
+  // Next() must not run before Seed().
+  struct UnseededTag {};
+  static constexpr UnseededTag kUnseeded{};
+  explicit constexpr Xorshift128(UnseededTag) {}
+
+  // False only in the kUnseeded state: Seed() never leaves the state all-zero.
+  constexpr bool Seeded() const { return (s0_ | s1_) != 0; }
+
+  constexpr void Seed(uint64_t seed) {
     SplitMix64 mix(seed);
     s0_ = mix.Next();
     s1_ = mix.Next();
@@ -43,7 +53,7 @@ class Xorshift128 {
     }
   }
 
-  uint64_t Next() {
+  constexpr uint64_t Next() {
     uint64_t x = s0_;
     const uint64_t y = s1_;
     s0_ = y;

@@ -224,6 +224,50 @@ TEST_F(SoftHtmTest, TransfersAreAtomicToSafeReaders) {
   EXPECT_EQ(account_a.load() + account_b.load(), 2000u);
 }
 
+// One single-read transaction; true when it aborted (spuriously).
+bool SingleReadAborted(const std::atomic<uint64_t>& word) {
+  const int rc = ST_HTM_BEGIN_POINT();
+  if (rc != kTxStarted) {
+    EXPECT_EQ(rc, static_cast<int>(AbortCause::kOther));
+    return true;
+  }
+  TxLoad(word);
+  TxCommit();
+  return false;
+}
+
+// Spurious-abort injection draws from the engine descriptor's PRNG. A fresh thread
+// runs 64 single-read transactions with injection on; bit i of the result is set
+// when attempt i aborted. Each attempt makes exactly one draw, so the pattern pins
+// the thread's PRNG stream from its first transaction on.
+uint64_t FreshThreadSpuriousPattern(StmEngine engine) {
+  SelectStmEngine(engine);
+  runtime::MachineConfig config;
+  config.physical_cores = 0;  // one registered thread is already oversubscribed
+  config.smt_ways = 0;
+  config.base_capacity_lines = 1000;
+  config.smt_capacity_lines = 1000;
+  config.oversubscribed_abort_prob = 0.25;
+  runtime::MachineModel::Instance().Configure(config);
+  uint64_t pattern = 0;
+  std::thread([&pattern] {
+    runtime::ThreadScope scope;
+    std::atomic<uint64_t> word{1};
+    for (int i = 0; i < 64; ++i) {
+      if (SingleReadAborted(word)) {
+        pattern |= uint64_t{1} << i;
+      }
+    }
+  }).join();
+  return pattern;
+}
+
+TEST_F(SoftHtmTest, SpuriousAbortStreamIsFixedPerFreshThread) {
+  // Recorded from the engines' seeds (lazy 0x5eedbeef, 2pl 0x02f1beef).
+  EXPECT_EQ(FreshThreadSpuriousPattern(StmEngine::kLazy), 0x616d4070a2c46160ULL);
+  EXPECT_EQ(FreshThreadSpuriousPattern(StmEngine::kOrec), 0xa6c8034611150a07ULL);
+}
+
 TEST(RtmBackendTest, SelectionFallsBackWhenUnusable) {
   if (RtmUsable()) {
     SelectBackend(BackendKind::kRtm);
