@@ -4,7 +4,6 @@
 //
 // Runs on the shared workload engine (bench/workload/): the scenario below is the
 // whole workload description; there is no per-binary timed loop.
-#include "bench/harness.h"
 #include "bench/scheme_cli.h"
 #include "bench/workload/runner.h"
 #include "ds/list.h"
@@ -26,7 +25,8 @@ int Main(int argc, char** argv) {
                        &schemes, &exit_code)) {
     return exit_code;
   }
-  PrintHeader("Fig 1: List throughput (ops/sec)", "5K nodes, 20% mutations, keys 1..10000");
+  workload::PrintHeader("Fig 1: List throughput (ops/sec)",
+                        "5K nodes, 20% mutations, keys 1..10000");
   std::printf("%8s", "threads");
   for (const std::string& name : schemes) {
     smr::DispatchScheme(name, [&]<typename Smr>(const smr::SchemeInfo& info) {

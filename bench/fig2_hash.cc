@@ -1,6 +1,5 @@
 // Figure 2 (right): lock-free hash table throughput, 10K nodes, 20% mutations.
 // Runs on the shared workload engine; see fig1_list.cc. --scheme= adds columns.
-#include "bench/harness.h"
 #include "bench/scheme_cli.h"
 #include "bench/workload/runner.h"
 #include "ds/hashtable.h"
@@ -21,8 +20,8 @@ int Main(int argc, char** argv) {
                        &schemes, &exit_code)) {
     return exit_code;
   }
-  PrintHeader("Fig 2: Hash-table throughput (ops/sec)",
-              "10K nodes, 4096 buckets, 20% mutations, keys 1..20000");
+  workload::PrintHeader("Fig 2: Hash-table throughput (ops/sec)",
+                        "10K nodes, 4096 buckets, 20% mutations, keys 1..20000");
   std::printf("%8s", "threads");
   for (const std::string& name : schemes) {
     smr::DispatchScheme(name, [&]<typename Smr>(const smr::SchemeInfo& info) {

@@ -1,6 +1,5 @@
 // Figure 2 (left): Michael-Scott queue throughput, 20% mutations (enq/deq), 80% peeks.
 // Runs on the shared workload engine; see fig1_list.cc. --scheme= adds columns.
-#include "bench/harness.h"
 #include "bench/scheme_cli.h"
 #include "bench/workload/runner.h"
 #include "ds/queue.h"
@@ -21,7 +20,8 @@ int Main(int argc, char** argv) {
                        &schemes, &exit_code)) {
     return exit_code;
   }
-  PrintHeader("Fig 2: Queue throughput (ops/sec)", "20% mutations (10% enq / 10% deq), 1K prefill");
+  workload::PrintHeader("Fig 2: Queue throughput (ops/sec)",
+                        "20% mutations (10% enq / 10% deq), 1K prefill");
   std::printf("%8s", "threads");
   for (const std::string& name : schemes) {
     smr::DispatchScheme(name, [&]<typename Smr>(const smr::SchemeInfo& info) {

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/workload/runner.h"
 #include "core/predictor.h"
 #include "core/split_engine.h"
 #include "core/stats.h"
@@ -234,12 +235,6 @@ Cell RunCell(const Preset& preset, htm::StmEngine engine, unsigned threads,
   return cell;
 }
 
-unsigned EnvOr(const char* name, unsigned fallback) {
-  const char* v = std::getenv(name);
-  return (v != nullptr && *v != '\0') ? static_cast<unsigned>(std::strtoul(v, nullptr, 10))
-                                      : fallback;
-}
-
 int Main(int argc, char** argv) {
   const char* json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
@@ -247,8 +242,9 @@ int Main(int argc, char** argv) {
       json_path = argv[i] + 7;
     }
   }
-  const unsigned threads = EnvOr("ST_BENCH_THREADS", 4);
-  const unsigned duration_ms = EnvOr("ST_BENCH_MS", 400);
+  const auto env = bench::workload::EnvConfig::Load(/*default_ms=*/400, {4});
+  const unsigned threads = env.threads.front();
+  const unsigned duration_ms = env.duration_ms;
 
   // Measure the engines, not the injected hardware model: plenty of modeled cores so
   // 4 worker threads run with the full capacity budget and no spurious-abort draws
@@ -485,13 +481,7 @@ Cell RunCell(const Preset& preset, core::PredictorKind kind, unsigned threads,
       cell.ops += ops[t];
     }
   }  // domain dtor folds every worker context's Stats into the registry total
-  core::Stats after = core::StatsRegistry::Instance().Sum();
-  const uint64_t* a = reinterpret_cast<const uint64_t*>(&after);
-  const uint64_t* b = reinterpret_cast<const uint64_t*>(&before);
-  uint64_t* d = reinterpret_cast<uint64_t*>(&cell.stats);
-  for (std::size_t i = 0; i < sizeof(core::Stats) / sizeof(uint64_t); ++i) {
-    d[i] = a[i] - b[i];
-  }
+  cell.stats = bench::workload::StatsDelta(before, core::StatsRegistry::Instance().Sum());
   cell.ops_per_sec = static_cast<double>(cell.ops) / cell.seconds;
   return cell;
 }
@@ -503,8 +493,9 @@ int Main(int argc, char** argv) {
       json_path = argv[i] + 7;
     }
   }
-  const unsigned threads = ab::EnvOr("ST_BENCH_THREADS", 4);
-  const unsigned duration_ms = ab::EnvOr("ST_BENCH_MS", 400);
+  const auto env = bench::workload::EnvConfig::Load(/*default_ms=*/400, {4});
+  const unsigned threads = env.threads.front();
+  const unsigned duration_ms = env.duration_ms;
 
   const core::PredictorKind kinds[] = {core::PredictorKind::kStreak,
                                        core::PredictorKind::kCost};

@@ -38,7 +38,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench/harness.h"
+#include "bench/workload/runner.h"
 #include "core/reclaim_service.h"
 #include "core/stats_export.h"
 #include "ds/list.h"
@@ -237,13 +237,8 @@ LagReport RunScenario(const Options& opt, typename Smr::Domain& domain,
   report.retires = snap.totals.retires;
   report.frees = snap.totals.frees;
   report.ops = total_ops.load(std::memory_order_relaxed);
-  core::Stats registry_after = core::StatsRegistry::Instance().Sum();
-  const uint64_t* before = reinterpret_cast<const uint64_t*>(&registry_before);
-  uint64_t* after = reinterpret_cast<uint64_t*>(&registry_after);
-  for (std::size_t i = 0; i < sizeof(core::Stats) / sizeof(uint64_t); ++i) {
-    after[i] -= before[i];
-  }
-  report.service_delta = registry_after;
+  report.service_delta =
+      workload::StatsDelta(registry_before, core::StatsRegistry::Instance().Sum());
   return report;
 }
 
@@ -439,7 +434,7 @@ int Main(int argc, char** argv) {
     }
   }
   if (opt.smoke) {
-    opt.duration_ms = EnvMs(200);
+    opt.duration_ms = workload::EnvConfig::Load(/*default_ms=*/200).duration_ms;
     opt.stall_ms = opt.duration_ms / 4;
   }
   // "all" keeps its historical meaning: the three schemes whose robustness
@@ -453,7 +448,7 @@ int Main(int argc, char** argv) {
   if (!smr::ResolveSchemeSelection(opt.scheme, contract_schemes, &schemes, extra)) {
     return opt.scheme == "help" ? 0 : 2;
   }
-  InstallCrashHandler();
+  workload::InstallCrashHandler();
 
   if (opt.freepath) {
     RunFreePath(opt);

@@ -2,7 +2,9 @@
 // free-batch threshold (max_free) and the thread count. The paper's observation: the
 // scan amortizes to noise once it runs about once per 10 frees, and the inspected
 // root-set size grows linearly with threads.
-#include "bench/harness.h"
+#include <cstdio>
+
+#include "bench/workload/runner.h"
 #include "ds/skiplist.h"
 #include "smr/stacktrack_smr.h"
 
@@ -10,23 +12,28 @@ namespace stacktrack::bench {
 namespace {
 
 int Main() {
-  PrintHeader("Scan behavior: StackTrack free-batch amortization (skip list)",
-              "20K nodes, 20% mutations");
+  const auto env = workload::EnvConfig::Load();
+  workload::PrintHeader("Scan behavior: StackTrack free-batch amortization (skip list)",
+                        "20K nodes, 20% mutations");
   std::printf("%8s %9s %14s %12s %14s %14s %12s\n", "threads", "max_free", "ops/sec", "scans",
               "words/scan", "inspects/scan", "restarts");
-  for (const uint32_t threads : EnvThreads()) {
+  for (const uint32_t threads : env.threads) {
+    workload::Scenario scenario;
+    scenario.name = "scan-behavior";
+    scenario.mix.insert_percent = 10;
+    scenario.mix.remove_percent = 10;
+    scenario.keys.key_range = 40000;
+    scenario.prefill = 20000;
+    scenario.threads = threads;
+    scenario.measure_latency = false;
+    env.Apply(&scenario);
     for (const uint32_t max_free : {1u, 8u, 32u, 128u}) {
-      WorkloadConfig cfg;
-      cfg.threads = threads;
-      cfg.duration_ms = EnvMs();
-      cfg.mutation_percent = 20;
-      cfg.key_range = 40000;
-      cfg.prefill = 20000;
       core::StConfig st_config;
       st_config.max_free = max_free;
       smr::StackTrackSmr::Domain domain(st_config);
       ds::LockFreeSkipList<smr::StackTrackSmr> skiplist;
-      const WorkloadResult result = RunMapWorkloadIn<smr::StackTrackSmr>(domain, skiplist, cfg);
+      const workload::RunResult result =
+          workload::RunMapScenario<smr::StackTrackSmr>(domain, skiplist, scenario);
       const double scans = static_cast<double>(result.stats.scan_calls);
       std::printf("%8u %9u %14.0f %12.0f %14.1f %14.1f %12llu\n", threads, max_free,
                   result.ops_per_sec, scans,

@@ -10,12 +10,13 @@
 //
 // The --check mode is registered as the `trace`-labeled ctest `trace_dump_json`, so
 // "the exporter produces JSON a consumer can parse" is enforced, not assumed.
-// Knobs: ST_BENCH_MS (window, default 100), ST_BENCH_THREADS first entry (default 4).
+// Knobs: ST_BENCH_MS (window, default 100), ST_BENCH_THREADS first entry (default 4),
+// ST_BENCH_SEED (key streams).
 #include <cstdio>
 #include <cstring>
 #include <string>
 
-#include "bench/harness.h"
+#include "bench/workload/runner.h"
 #include "stacktrack.h"
 
 namespace {
@@ -25,19 +26,14 @@ using stacktrack::core::minijson::Parse;
 using stacktrack::core::minijson::Value;
 
 namespace trace = stacktrack::runtime::trace;
+namespace workload = stacktrack::bench::workload;
 
 struct RunOutput {
   std::string json;
   stacktrack::core::Stats stats;
 };
 
-RunOutput RunAndExport(uint32_t threads, uint32_t duration_ms) {
-  stacktrack::bench::WorkloadConfig cfg;
-  cfg.threads = threads;
-  cfg.duration_ms = duration_ms;
-  cfg.key_range = 2048;
-  cfg.prefill = 1024;
-
+RunOutput RunAndExport(const workload::Scenario& scenario) {
   trace::ResetAll();
   trace::Arm(true);
   StatsTimeline timeline;
@@ -46,15 +42,15 @@ RunOutput RunAndExport(uint32_t threads, uint32_t duration_ms) {
   stacktrack::ds::LockFreeList<stacktrack::smr::StackTrackSmr> list;
   stacktrack::smr::StackTrackSmr::Domain domain;
   const auto result =
-      stacktrack::bench::RunMapWorkloadIn<stacktrack::smr::StackTrackSmr>(domain, list, cfg);
+      workload::RunMapScenario<stacktrack::smr::StackTrackSmr>(domain, list, scenario);
 
   timeline.StopPeriodic();
   trace::Arm(false);
   const auto records = trace::CollectMerged();
 
   std::string json = "{\"meta\":{\"bench\":\"trace_dump\",\"threads\":";
-  json += std::to_string(threads);
-  json += ",\"duration_ms\":" + std::to_string(duration_ms);
+  json += std::to_string(scenario.threads);
+  json += ",\"duration_ms\":" + std::to_string(scenario.duration_ms);
   json += ",\"total_ops\":" + std::to_string(result.total_ops);
   json += "},\n\"stats\":" + stacktrack::core::StatsToJson(result.stats);
   json += ",\n\"timeline\":" + stacktrack::core::TimelineToJson(timeline.samples());
@@ -152,14 +148,21 @@ bool Check(const RunOutput& run) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  stacktrack::bench::InstallCrashHandler();
+  workload::InstallCrashHandler();
   const bool check = argc > 1 && std::strcmp(argv[1], "--check") == 0;
-  const uint32_t duration_ms = stacktrack::bench::EnvMs(100);
   // First ST_BENCH_THREADS entry if set; default 4 so the merged trace interleaves.
-  const uint32_t threads =
-      std::getenv("ST_BENCH_THREADS") != nullptr ? stacktrack::bench::EnvThreads().front() : 4;
+  const auto env = workload::EnvConfig::Load(/*default_ms=*/100, {4});
+  workload::Scenario scenario;
+  scenario.name = "trace-dump";
+  scenario.mix.insert_percent = 10;
+  scenario.mix.remove_percent = 10;
+  scenario.keys.key_range = 2048;
+  scenario.prefill = 1024;
+  scenario.threads = env.threads.front();
+  scenario.measure_latency = false;
+  env.Apply(&scenario);
 
-  const RunOutput run = RunAndExport(threads, duration_ms);
+  const RunOutput run = RunAndExport(scenario);
   if (!check) {
     std::fputs(run.json.c_str(), stdout);
     return 0;

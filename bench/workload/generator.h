@@ -5,8 +5,7 @@
 // any process, which is what makes scenario runs replayable (record a run's spec,
 // rebuild the exact key pattern later — cross-run determinism is tested in
 // tests/workload_test.cc). Distinct threads get decorrelated streams by stretching
-// the scenario seed through the golden-ratio multiplier, the same idiom
-// bench/harness.h has always used for its worker seeds.
+// the scenario seed through the golden-ratio multiplier.
 //
 // The zipfian path reuses runtime/rand.h's CDF formulation but hoists the table out
 // of the generator: the CDF over a production-sized key range is O(range) doubles and

@@ -1,5 +1,9 @@
 #include "bench/workload/runner.h"
 
+#include <execinfo.h>
+#include <signal.h>
+#include <unistd.h>
+
 #include <cstdio>
 
 namespace stacktrack::bench::workload {
@@ -37,6 +41,30 @@ core::Stats StatsDelta(const core::Stats& before, const core::Stats& after) {
     delta_words[i] -= before_words[i];
   }
   return delta;
+}
+
+void PrintHeader(const char* title, const char* workload) {
+  if (EnvConfig::Load().trace_arm) {
+    runtime::trace::Arm(true);
+    std::printf("# event tracing: ARMED\n");
+  }
+  std::printf("# %s\n# workload: %s\n", title, workload);
+  std::printf("# machine model: 4 cores x 2 SMT (software HTM substrate)\n");
+}
+
+namespace {
+
+void CrashHandler(int sig) {
+  void* frames[32];
+  backtrace_symbols_fd(frames, backtrace(frames, 32), 2);
+  _exit(128 + sig);
+}
+
+}  // namespace
+
+void InstallCrashHandler() {
+  signal(SIGSEGV, CrashHandler);
+  signal(SIGBUS, CrashHandler);
 }
 
 }  // namespace stacktrack::bench::workload

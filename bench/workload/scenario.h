@@ -8,23 +8,25 @@
 // (runner.h) executes a Scenario against any Domain + structure; the per-figure
 // binaries and bench/ycsb_kv only declare scenarios and print results.
 //
-// EnvConfig centralizes the ST_BENCH_* environment parsing that every figure binary
-// used to re-derive through bench/harness.h:
-//   ST_BENCH_MS       per-point measure window in ms
-//   ST_BENCH_THREADS  comma list of thread counts
+// EnvConfig is the one parser for the bench environment knobs:
+//   ST_BENCH_MS       per-point measure window in ms (positive integer)
+//   ST_BENCH_THREADS  comma list of thread counts (each 1..runtime::kMaxThreads)
 //   ST_BENCH_SEED     scenario base seed (decimal or 0x hex)
 //   ST_TRACE_ARM      if set, arm event tracing for the run
-// EnvConfig is header-only so bench binaries that only need the knobs (via
-// harness.h's forwarding shims) do not have to link the workload library.
+// A malformed ST_BENCH_MS or ST_BENCH_THREADS is a usage error: the value is
+// printed to stderr and the process exits with status 2.
 #ifndef STACKTRACK_BENCH_WORKLOAD_SCENARIO_H_
 #define STACKTRACK_BENCH_WORKLOAD_SCENARIO_H_
 
+#include <cctype>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench/workload/generator.h"
+#include "runtime/thread_registry.h"
 
 namespace stacktrack::bench::workload {
 
@@ -67,7 +69,7 @@ struct Scenario {
   // Thread ramp: worker t enters the workload t * ramp_step_ms after the barrier
   // (staggered arrival, the serving-system warmup shape). 0 = all start together.
   uint32_t ramp_step_ms = 0;
-  bool inject_preemption = true;  // oversubscription preemption, as in bench/harness.h
+  bool inject_preemption = true;  // simulated preemption once threads > hw contexts
   bool measure_latency = true;    // per-op monotonic timestamps -> histograms
 };
 
@@ -80,8 +82,7 @@ struct Scenario {
 // path (5% of reads become index scans).
 Scenario YcsbScenario(char letter, uint64_t key_range = 16384, bool with_scans = false);
 
-// One-stop ST_BENCH_* environment view (satellite of the engine refactor: the
-// figure binaries previously each re-parsed these in main()).
+// One-stop ST_BENCH_* environment view shared by every bench binary.
 struct EnvConfig {
   uint32_t duration_ms;
   std::vector<uint32_t> threads;
@@ -95,20 +96,23 @@ struct EnvConfig {
     EnvConfig env;
     env.duration_ms = default_ms;
     if (const char* value = std::getenv("ST_BENCH_MS"); value != nullptr) {
-      env.duration_ms = static_cast<uint32_t>(std::atoi(value));
+      env.duration_ms = ParseCount("ST_BENCH_MS", value, value, UINT32_MAX);
     }
     env.threads = std::move(default_threads);
     if (const char* value = std::getenv("ST_BENCH_THREADS"); value != nullptr) {
       env.threads.clear();
-      std::size_t pos = 0;
       const std::string spec(value);
-      while (pos < spec.size()) {
-        env.threads.push_back(static_cast<uint32_t>(std::atoi(spec.c_str() + pos)));
-        pos = spec.find(',', pos);
-        if (pos == std::string::npos) {
+      std::size_t begin = 0;
+      for (;;) {
+        const std::size_t comma = spec.find(',', begin);
+        const std::size_t end = comma == std::string::npos ? spec.size() : comma;
+        env.threads.push_back(ParseCount("ST_BENCH_THREADS", value,
+                                         spec.substr(begin, end - begin),
+                                         runtime::kMaxThreads));
+        if (comma == std::string::npos) {
           break;
         }
-        ++pos;
+        begin = comma + 1;
       }
     }
     env.seed = default_seed;
@@ -124,6 +128,24 @@ struct EnvConfig {
   void Apply(Scenario* scenario) const {
     scenario->duration_ms = duration_ms;
     scenario->keys.seed = seed;
+  }
+
+ private:
+  // One decimal entry in 1..max; anything else (empty, signed, trailing junk, zero,
+  // out of range) exits 2 instead of becoming a silent 0-thread or 0 ms point.
+  static uint32_t ParseCount(const char* name, const char* value, const std::string& entry,
+                             uint32_t max) {
+    char* end = nullptr;
+    const unsigned long long parsed =
+        !entry.empty() && std::isdigit(static_cast<unsigned char>(entry[0]))
+            ? std::strtoull(entry.c_str(), &end, 10)
+            : 0;
+    if (parsed == 0 || parsed > max || *end != '\0') {
+      std::fprintf(stderr, "invalid %s=\"%s\": expected positive integers <= %u\n", name,
+                   value, max);
+      std::exit(2);
+    }
+    return static_cast<uint32_t>(parsed);
   }
 };
 

@@ -43,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/harness.h"
 #include "bench/workload/runner.h"
 #include "core/stats_export.h"
 #include "ds/hashtable.h"
@@ -196,9 +195,9 @@ workload::RunResult RunKv(typename Smr::Domain& domain, const Options& opt,
 
 void PrintResult(const Options& opt, const char* scheme,
                  const workload::Scenario& scenario,
-                 const workload::RunResult& result, const core::Stats& scheme_stats) {
-  const uint64_t retires = scheme_stats.retires;
-  const uint64_t frees = scheme_stats.frees;
+                 const workload::RunResult& result) {
+  const uint64_t retires = result.stats.retires;
+  const uint64_t frees = result.stats.frees;
   const uint64_t lag = retires >= frees ? retires - frees : 0;
   using workload::OpKind;
   if (opt.json) {
@@ -218,7 +217,7 @@ void PrintResult(const Options& opt, const char* scheme,
         "\"threads\":%u,\"ms\":%u,\"keys\":%llu,\"theta\":%.2f,\"stm\":\"%s\","
         "\"predictor\":\"%s\",\"warm_seeds\":%zu,\"ops\":%llu,"
         "\"ops_per_sec\":%.0f,\"retires\":%llu,\"frees\":%llu,\"final_lag\":%llu,"
-        "\"latency_ns\":%s,\"stats\":%s,\"scheme_stats\":%s}\n",
+        "\"latency_ns\":%s,\"stats\":%s}\n",
         scheme, scenario.name.c_str(), scenario.threads, scenario.duration_ms,
         static_cast<unsigned long long>(scenario.keys.key_range),
         scenario.keys.zipf_theta, StmEngineName(),
@@ -228,8 +227,7 @@ void PrintResult(const Options& opt, const char* scheme,
         static_cast<unsigned long long>(retires),
         static_cast<unsigned long long>(frees),
         static_cast<unsigned long long>(lag), latency.c_str(),
-        core::StatsToJson(result.stats).c_str(),
-        core::StatsToJson(scheme_stats).c_str());
+        core::StatsToJson(result.stats).c_str());
     return;
   }
   // awk-friendly flat line (tools/check_slo.sh and tools/check_teleport.sh parse
@@ -243,9 +241,9 @@ void PrintResult(const Options& opt, const char* scheme,
               static_cast<unsigned long long>(retires),
               static_cast<unsigned long long>(frees),
               static_cast<unsigned long long>(lag),
-              static_cast<unsigned long long>(scheme_stats.guard_batches),
-              static_cast<unsigned long long>(scheme_stats.guard_elisions),
-              static_cast<unsigned long long>(scheme_stats.guard_fallbacks));
+              static_cast<unsigned long long>(result.stats.guard_batches),
+              static_cast<unsigned long long>(result.stats.guard_elisions),
+              static_cast<unsigned long long>(result.stats.guard_fallbacks));
   for (uint32_t k = 0; k < workload::kOpKinds; ++k) {
     const workload::LatencySummary s = workload::Summarize(result.latency[k]);
     const char* name = workload::OpKindName(static_cast<OpKind>(k));
@@ -285,15 +283,11 @@ void RunPreset(const Options& opt, const std::vector<std::string>& schemes,
   workload::Scenario scenario =
       workload::YcsbScenario(letter, opt.key_range, opt.with_scans);
   scenario.keys.zipf_theta = opt.theta;
-  const auto env = workload::EnvConfig::Load();
+  // --threads wins; else the first ST_BENCH_THREADS entry; else 4 (a serving point,
+  // not the sweep list's leading single-thread entry).
+  const auto env = workload::EnvConfig::Load(/*default_ms=*/150, {4});
   env.Apply(&scenario);
-  // --threads wins; else the first ST_BENCH_THREADS entry if the user set one;
-  // else 4 (a serving point, not the sweep list's leading single-thread entry).
-  scenario.threads = opt.threads != 0 ? opt.threads
-                     : (std::getenv("ST_BENCH_THREADS") != nullptr &&
-                        !env.threads.empty())
-                         ? env.threads.front()
-                         : 4;
+  scenario.threads = opt.threads != 0 ? opt.threads : env.threads.front();
   if (opt.duration_ms != 0) {
     scenario.duration_ms = opt.duration_ms;
   }
@@ -307,13 +301,7 @@ void RunPreset(const Options& opt, const std::vector<std::string>& schemes,
   for (const std::string& name : schemes) {
     smr::DispatchScheme(name, [&]<typename Smr>(const smr::SchemeInfo& info) {
       smr::WithBenchDomain<Smr>([&](typename Smr::Domain& domain) {
-        // Scheme-level reclamation counters come from the domain (the global
-        // StatsRegistry only counts StackTrack contexts; baselines keep their
-        // retire/free totals domain-side — smr.h's uniform Snapshot contract).
-        const core::Stats before = domain.Snapshot();
-        const workload::RunResult result = RunKv<Smr>(domain, opt, scenario);
-        PrintResult(opt, info.name, scenario, result,
-                    workload::StatsDelta(before, domain.Snapshot()));
+        PrintResult(opt, info.name, scenario, RunKv<Smr>(domain, opt, scenario));
         // Sidecars dump before contexts retire; the trace buffer is cumulative, so
         // a multi-scheme --trace-out ends holding the whole run's merged trace.
         MaybeDumpSidecars(opt, std::is_same_v<Smr, smr::StackTrackSmr>);
@@ -368,7 +356,7 @@ int Main(int argc, char** argv) {
   if (!smr::ResolveSchemeSelection(opt.scheme, smr::AllSchemeNames(), &schemes)) {
     return opt.scheme == "help" ? 0 : 2;
   }
-  InstallCrashHandler();
+  workload::InstallCrashHandler();
   if (workload::EnvConfig::Load().trace_arm) {
     runtime::trace::Arm(true);
   }

@@ -1,6 +1,6 @@
 // Workload-engine unit suite (bench/workload/): generator determinism and skew,
 // histogram bucket geometry and percentile extraction, scenario presets, and the
-// shared ST_BENCH_* environment parser.
+// shared ST_BENCH_* environment parser, and the runner's per-scheme Stats source.
 //
 // These tests pin the contracts the benchmark layer leans on:
 //   * a KeyStream is a pure function of (seed, thread index, draw index) — replaying
@@ -10,16 +10,24 @@
 //   * histogram buckets contain the values mapped into them, values below the
 //     sub-bucket width are exact, and merging per-thread histograms is identical to
 //     recording everything into one (the runner's post-join merge step);
-//   * EnvConfig::Load parses exactly the knobs bench/harness.h used to hand-parse.
+//   * EnvConfig::Load parses the ST_BENCH_* knobs and rejects malformed values
+//     (exit 2) instead of running a 0-thread or 0 ms point;
+//   * RunScenario's stats are the domain's own Snapshot() delta, so every registry
+//     scheme reports its real retire/free counters through the one loop.
 #include <cstdlib>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/workload/generator.h"
 #include "bench/workload/histogram.h"
 #include "bench/workload/runner.h"
 #include "bench/workload/scenario.h"
+#include "core/stats_export.h"
+#include "ds/list.h"
 #include "gtest/gtest.h"
+#include "smr/registry.h"
 
 namespace stacktrack::bench::workload {
 namespace {
@@ -369,6 +377,64 @@ TEST_F(EnvConfigTest, ApplyStampsScenario) {
   EXPECT_EQ(scenario.duration_ms, 99u);
   EXPECT_EQ(scenario.keys.seed, 7u);
   EXPECT_EQ(scenario.threads, 12u);
+}
+
+TEST_F(EnvConfigTest, AcceptsTheThreadCeiling) {
+  setenv("ST_BENCH_THREADS", "1,64", 1);
+  EXPECT_EQ(EnvConfig::Load().threads, (std::vector<uint32_t>{1, 64}));
+}
+
+TEST_F(EnvConfigTest, RejectsMalformedThreads) {
+  for (const char* bad : {"abc", ",4", "4,", "0", "65", "4,x", "2x", "-1", ""}) {
+    setenv("ST_BENCH_THREADS", bad, 1);
+    EXPECT_EXIT(EnvConfig::Load(), ::testing::ExitedWithCode(2),
+                std::string("ST_BENCH_THREADS=\"") + bad + "\"")
+        << "value \"" << bad << "\"";
+  }
+}
+
+TEST_F(EnvConfigTest, RejectsMalformedDuration) {
+  for (const char* bad : {"x", "0", "10ms", " 5", ""}) {
+    setenv("ST_BENCH_MS", bad, 1);
+    EXPECT_EXIT(EnvConfig::Load(), ::testing::ExitedWithCode(2),
+                std::string("ST_BENCH_MS=\"") + bad + "\"")
+        << "value \"" << bad << "\"";
+  }
+}
+
+// ---- Runner: one counter source across schemes ------------------------------------
+
+template <typename Smr>
+class RunScenarioStatsTest : public ::testing::Test {};
+
+using RegistrySchemes =
+    ::testing::Types<smr::LeakySmr, smr::EpochSmr, smr::HazardSmr, smr::DtaSmr,
+                     smr::StackTrackSmr, smr::HyalineSmr, smr::TeleportSmr>;
+TYPED_TEST_SUITE(RunScenarioStatsTest, RegistrySchemes);
+
+TYPED_TEST(RunScenarioStatsTest, StatsAreTheDomainSnapshotDelta) {
+  using Smr = TypeParam;
+  Scenario scenario;
+  scenario.name = "stats-source";
+  scenario.mix.insert_percent = 10;
+  scenario.mix.remove_percent = 10;
+  scenario.keys.key_range = 256;  // small enough that removes find their keys
+  scenario.prefill = 0;  // the whole Snapshot delta below is the measured run
+  scenario.threads = 1;
+  scenario.duration_ms = 30;
+  scenario.measure_latency = false;
+  smr::WithBenchDomain<Smr>([&](typename Smr::Domain& domain) {
+    ds::LockFreeList<Smr> list;
+    const core::Stats before = domain.Snapshot();
+    const RunResult result = RunMapScenario<Smr>(domain, list, scenario);
+    const core::Stats delta = StatsDelta(before, domain.Snapshot());
+    EXPECT_GT(result.total_ops, 0u);
+    if constexpr (!std::is_same_v<Smr, smr::LeakySmr>) {
+      EXPECT_GT(result.stats.retires, 0u);
+    }
+    EXPECT_LE(result.stats.frees, result.stats.retires);
+    EXPECT_EQ(core::StatsToJson(result.stats), core::StatsToJson(delta));
+  });
 }
 
 }  // namespace
