@@ -61,8 +61,8 @@ struct ReclaimServiceConfig {
   uint32_t lag_check_interval = 16;  // reclaimer passes between lag samples
   uint64_t failover_timeout_ns = 50'000'000;  // frozen-heartbeat deadline (50 ms)
   // Configuration for the reclaimer threads' own contexts. hashed_scan is forced on:
-  // snapshot mode is what lets consecutive batches amortize one root collection via
-  // the RootSnapshotService generations.
+  // each round collects every thread's roots once and probes all of its candidates
+  // against that table, instead of rescanning every thread per candidate.
   StConfig reclaimer_config;
 };
 

@@ -2,8 +2,8 @@
 //
 // Every figure in the paper's evaluation beyond raw throughput (Figs. 3-5: abort
 // taxonomy, splits per operation, split lengths, scan behaviour) is derived from these
-// counters. Each StContext owns a Stats block; the registry sums live blocks so the
-// benchmark harness can snapshot before/after a measured phase.
+// counters. Each StContext owns a Stats block; the registry sums live blocks, and
+// workload::RunScenario reports the StatsDelta over its measured window.
 #ifndef STACKTRACK_CORE_STATS_H_
 #define STACKTRACK_CORE_STATS_H_
 
@@ -64,11 +64,11 @@ struct Stats {
   uint64_t refset_overflows = 0;     // sticky RefSet overflows (conservative mode)
   uint64_t watchdog_reports = 0;     // threads newly flagged as stalled mid-operation
   uint64_t free_set_peak = 0;        // per-thread max free_set size (sums as a bound)
-  // Root-snapshot service (shared hashed-scan root tables, core/reclaim_engine.h).
-  uint64_t snapshot_publishes = 0;   // complete collections published for reuse
-  uint64_t snapshot_reuses = 0;      // scans answered by a validated published table
-  uint64_t snapshot_stale = 0;       // reuse attempts rejected by the generation check
-  uint64_t snapshot_incomplete = 0;  // collections that could not prove completeness
+  // Hashed-scan root tables (core/reclaim_engine.h). Tables are private to one round,
+  // so publishes/reuses stay 0; they are kept for readers such as perfbench/kvbench.
+  uint64_t snapshot_publishes = 0;
+  uint64_t snapshot_reuses = 0;
+  uint64_t snapshot_incomplete = 0;  // rounds whose table could not prove completeness
   // Asynchronous reclamation service (core/reclaim_service.h). service_batches and
   // steals count on the reclaimer contexts; failovers on whichever reclaimer detected
   // the dead peer; inline_fallbacks on the mutator that had to scan for itself.

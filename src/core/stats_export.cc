@@ -54,7 +54,6 @@ constexpr StatsField kStatsFields[] = {
     {"free_set_peak", &Stats::free_set_peak},
     {"snapshot_publishes", &Stats::snapshot_publishes},
     {"snapshot_reuses", &Stats::snapshot_reuses},
-    {"snapshot_stale", &Stats::snapshot_stale},
     {"snapshot_incomplete", &Stats::snapshot_incomplete},
     {"service_batches", &Stats::service_batches},
     {"steals", &Stats::steals},

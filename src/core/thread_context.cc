@@ -564,12 +564,10 @@ void StContext::MaybeReclaim() {
 }
 
 std::size_t StContext::FlushFrees() {
-  // Drains demand fresh verdicts: the caller may have just cleared raw frame words,
-  // which no generation check can see (see the reclaim-engine header note).
   std::size_t previous = free_set_.size() + 1;
   while (!free_set_.empty() && free_set_.size() < previous) {
     previous = free_set_.size();
-    ReclaimEngine::Run(*this, config_.hashed_scan ? ScanMode::kSnapshotFresh
+    ReclaimEngine::Run(*this, config_.hashed_scan ? ScanMode::kSnapshot
                                                   : ScanMode::kPerCandidate);
   }
   return free_set_.size();
