@@ -21,9 +21,8 @@
 // p50/p99/p999 per op kind.
 //
 // Every scheme in smr/registry.h is runnable by name (--scheme=help lists them) —
-// and the StackTrack runs compose with both STM engines (ST_STM=lazy|2pl), both
-// split predictors (ST_PREDICTOR=streak|cost), and the warm-start tables
-// (ST_PREDICTOR_WARM=bench/warm/<preset>.json).
+// and the StackTrack runs compose with both STM engines (ST_STM=lazy|2pl) and the
+// split predictor's warm-start tables (ST_PREDICTOR_WARM=bench/warm/<preset>.json).
 //
 // Usage: ycsb_kv [--preset=a|b|c|all] [--scheme=NAME|all] [--threads=N] [--ms=N]
 //                [--keys=N] [--shards=N] [--theta=F] [--scans] [--ramp=MS]

@@ -78,8 +78,8 @@ bool InspectThread(StContext& reclaimer, StContext& target, uintptr_t base,
 // collect all root words once (per-thread, under the same splits/oper consistency
 // protocol) into a sorted table, then answer each candidate with a range probe —
 // average O(1) work per freed pointer. Enabled with StConfig::hashed_scan; ablated by
-// bench/ablation_scan. Forwards to ReclaimEngine::Run(kSnapshot), which may reuse a
-// validated snapshot published by a concurrent reclaimer — see core/reclaim_engine.h.
+// bench/ablation_scan. Forwards to ReclaimEngine::Run(kSnapshot), which collects a
+// root table private to that round — see core/reclaim_engine.h.
 void ScanAndFreeHashed(StContext& reclaimer);
 
 }  // namespace stacktrack::core

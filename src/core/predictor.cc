@@ -3,38 +3,18 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "core/stats_export.h"
-#include "runtime/trace.h"
 
 namespace stacktrack::core {
 
-namespace trace = runtime::trace;
-
 namespace {
 
-PredictorKind PredictorFromEnv() {
-  const char* value = std::getenv("ST_PREDICTOR");
-  if (value == nullptr || value[0] == '\0' || std::strcmp(value, "streak") == 0) {
-    return PredictorKind::kStreak;
-  }
-  if (std::strcmp(value, "cost") == 0) {
-    return PredictorKind::kCost;
-  }
-  std::fprintf(stderr,
-               "stacktrack: unknown ST_PREDICTOR value '%s' (expected streak|cost); "
-               "using the streak predictor\n",
-               value);
-  return PredictorKind::kStreak;
-}
-
-// Latch ST_PREDICTOR before main(), like the ST_STM latch in htm/htm.cc, so every
-// segment in the process — including ones run from static initializers — sees one
-// policy. ST_PREDICTOR_WARM optionally pre-loads the warm-start table the same way.
-[[maybe_unused]] const bool g_predictor_env_latched = [] {
-  internal::g_predictor = PredictorFromEnv();
+// Load ST_PREDICTOR_WARM before main(), like the ST_STM latch in htm/htm.cc, so every
+// segment in the process — including ones run from static initializers — sees the
+// seeds.
+[[maybe_unused]] const bool g_predictor_warm_latched = [] {
   if (const char* path = std::getenv("ST_PREDICTOR_WARM");
       path != nullptr && path[0] != '\0') {
     std::string error;
@@ -46,121 +26,13 @@ PredictorKind PredictorFromEnv() {
   return true;
 }();
 
-PredictorBands g_override_bands;
-bool g_bands_overridden = false;
-
-// Sizes the hysteresis bands from this host's measured cost ratio R between running
-// one instrumented read on the software slow path (SafeLoad + seq_cst fence +
-// re-validate + RefSet-style store, Algorithm 5) and replaying it inside a fresh
-// transaction. A segment that keeps aborting eventually escalates past
-// slow_after_fails onto the slow path, so the more the slow path costs relative to a
-// transactional retry, the lower the abort rate worth tolerating before shrinking:
-//   capacity_shrink = EwmaOne / (2 + R), clamped to [1/16, 1/3].
-// Conflict aborts are transient, so their threshold sits at twice the capacity one
-// (capped at 1/2); growth needs both EWMAs under a quarter of the capacity threshold,
-// leaving a wide dead band in between.
-PredictorBands CalibratePredictorBands() {
-  constexpr int kIters = 64;
-  constexpr int kReads = 8;  // small enough to fit every test's capacity budget
-  std::atomic<uint64_t> word{1};
-  std::atomic<uint64_t> ref_slot{0};
-  volatile uint64_t sink = 0;
-
-  uint64_t t0 = trace::NowNanos();
-  for (int i = 0; i < kIters; ++i) {
-    const int rc = ST_HTM_BEGIN_POINT();
-    if (rc == htm::kTxStarted) {
-      uint64_t sum = 0;
-      for (int r = 0; r < kReads; ++r) {
-        sum += htm::TxLoad(word);
-      }
-      sink = sink + sum;
-      htm::TxCommit();
-    }
-  }
-  const uint64_t tx_ns = trace::NowNanos() - t0;
-
-  t0 = trace::NowNanos();
-  for (int i = 0; i < kIters; ++i) {
-    uint64_t sum = 0;
-    for (int r = 0; r < kReads; ++r) {
-      const uint64_t value = htm::SafeLoad(word);
-      ref_slot.store(value, std::memory_order_release);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      sum += htm::SafeLoad(word);
-    }
-    sink = sink + sum;
-  }
-  const uint64_t slow_ns = trace::NowNanos() - t0;
-
-  uint64_t ratio = slow_ns / (tx_ns == 0 ? 1 : tx_ns);
-  if (ratio < 1) {
-    ratio = 1;
-  } else if (ratio > 64) {
-    ratio = 64;
-  }
-
-  PredictorBands bands;
-  uint32_t capacity = kPredictorEwmaOne / static_cast<uint32_t>(2 + ratio);
-  if (capacity < kPredictorEwmaOne / 16) {
-    capacity = kPredictorEwmaOne / 16;
-  } else if (capacity > kPredictorEwmaOne / 3) {
-    capacity = kPredictorEwmaOne / 3;
-  }
-  bands.capacity_shrink = capacity;
-  bands.conflict_shrink =
-      capacity * 2 < kPredictorEwmaOne / 2 ? capacity * 2 : kPredictorEwmaOne / 2;
-  bands.grow = capacity / 4;
-  bands.cooldown = 4;
-  return bands;
-}
-
 }  // namespace
-
-void SelectPredictor(PredictorKind kind) {
-  if (htm::InTx()) {
-    std::fprintf(stderr, "stacktrack: SelectPredictor called inside a transaction\n");
-    std::abort();
-  }
-  internal::g_predictor = kind;
-}
-
-PredictorKind ActivePredictor() { return internal::g_predictor; }
-
-const char* PredictorName(PredictorKind kind) {
-  return kind == PredictorKind::kStreak ? "streak" : "cost";
-}
-
-const PredictorBands& ActivePredictorBands() {
-  if (g_bands_overridden) {
-    return g_override_bands;
-  }
-  // Thread-safe lazy calibration; always reached outside a transaction (the decision
-  // paths run after an abort unwound or after a commit).
-  static const PredictorBands calibrated = CalibratePredictorBands();
-  return calibrated;
-}
-
-void OverridePredictorBands(const PredictorBands& bands) {
-  g_override_bands = bands;
-  g_bands_overridden = true;
-}
-
-void ClearPredictorBandsOverride() { g_bands_overridden = false; }
 
 // ---- PredictorWarmTable ----------------------------------------------------------
 
 PredictorWarmTable& PredictorWarmTable::Instance() {
   static PredictorWarmTable table;
   return table;
-}
-
-void PredictorWarmTable::Publish(uint32_t op, uint32_t segment, uint16_t limit) {
-  if (op >= kMaxOps || segment >= kMaxSegments || limit == 0) {
-    return;
-  }
-  cells_[op][segment].store(limit, std::memory_order_relaxed);
-  any_.store(true, std::memory_order_release);
 }
 
 std::size_t PredictorWarmTable::CountSeeds() const {

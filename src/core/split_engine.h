@@ -32,10 +32,10 @@
 // themselves contain no emit calls; the events fire inside the StContext/backends so
 // the expansion stays minimal.
 //
-// The per-segment length budget these macros consume is owned by the predictor policy
-// selected at static init (ST_PREDICTOR=streak|cost, core/predictor.h): the macros
-// and the instrumented operations are policy-agnostic — only the CommitSegment /
-// SegmentAborted decision paths differ.
+// The per-segment length budget these macros consume is owned by the split-length
+// predictor (the paper's §5.3 streak rule, core/predictor.h): the macros and the
+// instrumented operations never read it; only the CommitSegment / SegmentAborted
+// decision paths move it.
 #ifndef STACKTRACK_CORE_SPLIT_ENGINE_H_
 #define STACKTRACK_CORE_SPLIT_ENGINE_H_
 

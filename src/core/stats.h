@@ -35,11 +35,10 @@ struct Stats {
   uint64_t stm_priority_handoffs = 0;
   uint64_t stm_eager_conflict_aborts = 0;
   uint64_t stm_commit_conflict_aborts = 0;
-  // Split-length predictor activity (both policies; see core/predictor.h).
+  // Split-length predictor activity (see core/predictor.h).
   uint64_t predictor_increases = 0;
   uint64_t predictor_decreases = 0;
-  uint64_t predictor_warm_seeds = 0;      // cells seeded from the shared warm table
-  uint64_t predictor_warm_publishes = 0;  // learned cells folded back into the table
+  uint64_t predictor_warm_seeds = 0;  // cells seeded from the loaded warm table
   // Reclamation.
   uint64_t retires = 0;
   uint64_t frees = 0;

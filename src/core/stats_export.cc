@@ -32,7 +32,6 @@ constexpr StatsField kStatsFields[] = {
     {"predictor_increases", &Stats::predictor_increases},
     {"predictor_decreases", &Stats::predictor_decreases},
     {"predictor_warm_seeds", &Stats::predictor_warm_seeds},
-    {"predictor_warm_publishes", &Stats::predictor_warm_publishes},
     {"retires", &Stats::retires},
     {"frees", &Stats::frees},
     {"scan_calls", &Stats::scan_calls},

@@ -289,13 +289,6 @@ class StContext {
   const StConfig& config() const { return config_; }
   uint32_t tid() const { return tid_; }
 
-  // Folds this context's learned split limits into the process-wide
-  // PredictorWarmTable so later-registering threads inherit them instead of
-  // re-deriving from initial_split_limit. Runs automatically at destruction and at
-  // thread exit, under the cost predictor only — the streak default stays
-  // byte-for-byte the paper's behavior.
-  void PublishPredictorTable();
-
   // Test hooks.
   uint32_t current_limit() const { return limit_; }
   uint32_t segment_index() const { return segment_index_; }
@@ -315,11 +308,6 @@ class StContext {
     uint8_t consec_aborts = 0;   // streak policy state (paper §5.3)
     uint8_t consec_commits = 0;
     uint8_t inited = 0;          // first-touch marker; limit is meaningless before
-    uint8_t cooldown = 0;        // cost policy: commits left before growth re-enables
-    uint16_t ewma_capacity = 0;  // cost policy: Q15 abort-rate EWMAs per cause family
-    uint16_t ewma_conflict = 0;
-    uint16_t cap_ceiling = 0;    // cost policy: lowest limit seen to capacity-abort
-                                 // (deterministic cliff); 0 = none observed
   };
 
   // Slow-segment accesses (Algorithm 5). Never inlined: the retry loop would make
@@ -362,9 +350,7 @@ class StContext {
   }
 
   PredictorCell& CurrentCell();
-  // Predictor decision paths, dispatched on ActivePredictorFast(). The streak
-  // branches are the paper's §5.3 rule unchanged; the cost branches implement the
-  // EWMA model documented in core/predictor.h / DESIGN.md §5e.
+  // Predictor decision paths: the paper's §5.3 streak rule (DESIGN.md §5e).
   void PredictorOnAbort(PredictorCell& cell, int cause);
   void PredictorOnCommit();
   // Post-retire disposition: offer the free set to the active ReclaimService
@@ -414,21 +400,12 @@ class ActivityArray {
 
   void Set(uint32_t tid, StContext* ctx) {
     slots_[tid].store(ctx, std::memory_order_release);
-    // Any registration change invalidates published root snapshots: a context
-    // recreated at a recycled address can otherwise present the generation counters
-    // of its predecessor (both freshly zero) while holding entirely different roots.
-    epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   StContext* Get(uint32_t tid) const { return slots_[tid].load(std::memory_order_acquire); }
-
-  // Bumped on every Set(); snapshot validation (core/reclaim_engine.cc) requires it
-  // unchanged since collection.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
  private:
   ActivityArray() = default;
   std::atomic<StContext*> slots_[runtime::kMaxThreads] = {};
-  std::atomic<uint64_t> epoch_{0};
 };
 
 // Number of threads currently executing slow-path segments; scanners consult reference

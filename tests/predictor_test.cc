@@ -1,19 +1,15 @@
-// Predictor policy tests (DESIGN.md §5e): streak/cost selection, lazy cell init,
-// cause-family routing, the cost model's multiplicative-capacity / gentle-conflict
-// asymmetry, hysteresis, min/max clamping, the warm-start pipeline (publish on
-// retirement, seed on first touch, PredictorTableToJson round trip), and the packed
-// cause tag on kPredictorGrow/Shrink trace records.
-//
-// Bands are overridden to deterministic values in the fixture: one capacity abort
-// crosses the capacity threshold (EWMA reaches 1/8 of scale), two conflict aborts
-// cross the conflict threshold, so every decision below is exact arithmetic, not a
-// calibration artifact.
+// Split-length predictor tests (DESIGN.md §5e): the one policy's provenance name,
+// lazy cell init, which abort causes drive the §5.3 streak rule, min/max clamping,
+// the offline warm start (a loaded table seeds cells on first touch and nothing flows
+// back into it), the PredictorTableToJson round trip, and the packed cause tag on
+// kPredictorGrow/Shrink trace records. Split-engine mechanics of the same rule are
+// in tests/context_test.cc.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/predictor.h"
 #include "core/split_engine.h"
@@ -25,34 +21,18 @@
 namespace stacktrack::core {
 namespace {
 
-PredictorBands DeterministicBands() {
-  PredictorBands bands;
-  bands.capacity_shrink = 4000;  // one capacity abort (EWMA 4096) triggers
-  bands.conflict_shrink = 7000;  // two conflict aborts (EWMA 7680) trigger
-  bands.grow = 600;
-  bands.cooldown = 2;
-  return bands;
-}
-
 class PredictorTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    saved_ = ActivePredictor();
-    PredictorWarmTable::Instance().Reset();
-    OverridePredictorBands(DeterministicBands());
-  }
+  void SetUp() override { PredictorWarmTable::Instance().Reset(); }
   void TearDown() override {
-    ClearPredictorBandsOverride();
     PredictorWarmTable::Instance().Reset();
-    SelectPredictor(saved_);
     runtime::MachineModel::Instance().Configure(runtime::MachineConfig{});
   }
 
   runtime::ThreadScope scope_;
-  PredictorKind saved_ = PredictorKind::kStreak;
 };
 
-StConfig CostConfig(uint32_t initial) {
+StConfig FastPathConfig(uint32_t initial) {
   StConfig config;
   config.initial_split_limit = initial;
   config.slow_after_fails = 1u << 30;  // keep every case on the fast path
@@ -90,172 +70,113 @@ void RunOp(StContext& ctx, uint32_t op_id, int blocks, int aborts,
   ST_OP_END(ctx);
 }
 
-TEST_F(PredictorTest, EnvStyleSelectionAndNames) {
-  SelectPredictor(PredictorKind::kCost);
-  EXPECT_EQ(ActivePredictor(), PredictorKind::kCost);
-  EXPECT_STREQ(PredictorName(PredictorKind::kCost), "cost");
-  SelectPredictor(PredictorKind::kStreak);
+TEST_F(PredictorTest, ProvenanceNamesTheStreakRule) {
   EXPECT_EQ(ActivePredictor(), PredictorKind::kStreak);
-  EXPECT_STREQ(PredictorName(PredictorKind::kStreak), "streak");
+  EXPECT_STREQ(PredictorName(ActivePredictor()), "streak");
 }
 
-TEST_F(PredictorTest, LazyCellInitUnderBothPolicies) {
-  for (PredictorKind kind : {PredictorKind::kStreak, PredictorKind::kCost}) {
-    SelectPredictor(kind);
-    smr::StackTrackSmr::Domain domain(CostConfig(37));
-    StContext& ctx = domain.AcquireHandle();
-    EXPECT_EQ(ctx.predictor_limit(4, 0), 0u) << PredictorName(kind);
-    EXPECT_FALSE(ctx.predictor_cell_initialized(4, 0)) << PredictorName(kind);
-    EXPECT_EQ(TouchAndPeek(ctx, 4), 37u) << PredictorName(kind);
-    EXPECT_TRUE(ctx.predictor_cell_initialized(4, 0)) << PredictorName(kind);
-    // Neighboring cells stay untouched.
-    EXPECT_FALSE(ctx.predictor_cell_initialized(4, 1)) << PredictorName(kind);
-  }
-}
-
-TEST_F(PredictorTest, CapacityAbortsShrinkMultiplicatively) {
-  SelectPredictor(PredictorKind::kCost);
-  smr::StackTrackSmr::Domain domain(CostConfig(40));
+TEST_F(PredictorTest, LazyCellInit) {
+  smr::StackTrackSmr::Domain domain(FastPathConfig(37));
   StContext& ctx = domain.AcquireHandle();
-  // One capacity abort: EWMA 4096 >= 4000, step = 40/4 -> limit 30.
-  RunOp(ctx, 1, 1, 1, htm::AbortCause::kCapacity);
-  EXPECT_EQ(ctx.predictor_limit(1, 0), 30u);
-  EXPECT_EQ(ctx.stats.predictor_decreases, 1u);
-  EXPECT_EQ(ctx.stats.aborts_capacity, 1u);
+  EXPECT_EQ(ctx.predictor_limit(4, 0), 0u);
+  EXPECT_FALSE(ctx.predictor_cell_initialized(4, 0));
+  EXPECT_EQ(TouchAndPeek(ctx, 4), 37u);
+  EXPECT_TRUE(ctx.predictor_cell_initialized(4, 0));
+  // Neighboring cells stay untouched.
+  EXPECT_FALSE(ctx.predictor_cell_initialized(4, 1));
 }
 
-TEST_F(PredictorTest, ConflictFamilyShrinksGentlyIncludingTwoPlRefinements) {
-  SelectPredictor(PredictorKind::kCost);
+// Only capacity aborts count toward the shrink streak (paper §5.3): conflict aborts,
+// including the 2PL engine's reader/writer refinements, are counted in the Fig. 3
+// taxonomy but never move the limit.
+TEST_F(PredictorTest, ConflictAbortsDoNotShrinkIncludingTwoPlRefinements) {
   const htm::AbortCause causes[] = {htm::AbortCause::kConflict,
                                     htm::AbortCause::kConflictReader,
                                     htm::AbortCause::kConflictWriter};
-  uint32_t op_id = 1;
-  smr::StackTrackSmr::Domain domain(CostConfig(40));
+  StConfig config = FastPathConfig(40);
+  config.max_split_limit = 40;  // pin commit growth so any move is a shrink
+  smr::StackTrackSmr::Domain domain(config);
   StContext& ctx = domain.AcquireHandle();
+  uint32_t op_id = 1;
   for (htm::AbortCause cause : causes) {
-    // Two conflict-family aborts cross the 7000 band exactly once -> one gentle
-    // -1 step, regardless of which conflict refinement the engine reported.
-    RunOp(ctx, op_id, 1, 2, cause);
-    EXPECT_EQ(ctx.predictor_limit(op_id, 0), 39u)
-        << htm::AbortCauseName(cause);
+    RunOp(ctx, op_id, 1, 6, cause);  // past one threshold's worth of aborts
+    EXPECT_EQ(ctx.predictor_limit(op_id, 0), 40u) << htm::AbortCauseName(cause);
     ++op_id;
   }
-  EXPECT_EQ(ctx.stats.aborts_conflict, 6u);
-  EXPECT_EQ(ctx.stats.aborts_conflict_reader, 2u);
-  EXPECT_EQ(ctx.stats.aborts_conflict_writer, 2u);
-  EXPECT_EQ(ctx.stats.predictor_decreases, 3u);
-}
-
-TEST_F(PredictorTest, ConflictPressureRecoversFast) {
-  SelectPredictor(PredictorKind::kCost);
-  smr::StackTrackSmr::Domain domain(CostConfig(40));
-  StContext& ctx = domain.AcquireHandle();
-  RunOp(ctx, 1, 1, 2, htm::AbortCause::kConflict);
-  const uint32_t shrunk = ctx.predictor_limit(1, 0);
-  ASSERT_LT(shrunk, 40u);
-  // Contention clears: commit-only ops decay the EWMA past the grow band and the
-  // conflict-regime growth steps (1 + limit/8) win the limit back quickly.
-  for (int op = 0; op < 40; ++op) {
-    RunOp(ctx, 1, 1, 0, htm::AbortCause::kNone);
-  }
-  EXPECT_GT(ctx.predictor_limit(1, 0), 40u);
-  EXPECT_GT(ctx.stats.predictor_increases, 0u);
+  EXPECT_EQ(ctx.stats.aborts_conflict, 18u);
+  EXPECT_EQ(ctx.stats.aborts_conflict_reader, 6u);
+  EXPECT_EQ(ctx.stats.aborts_conflict_writer, 6u);
+  EXPECT_EQ(ctx.stats.predictor_decreases, 0u);
 }
 
 TEST_F(PredictorTest, ExplicitAndSpuriousAbortsAreIgnored) {
-  SelectPredictor(PredictorKind::kCost);
-  StConfig config = CostConfig(40);
+  StConfig config = FastPathConfig(40);
   config.max_split_limit = 40;  // pin ordinary commit growth so any move is a shrink
   smr::StackTrackSmr::Domain domain(config);
   StContext& ctx = domain.AcquireHandle();
-  RunOp(ctx, 1, 1, 4, htm::AbortCause::kExplicit);
-  RunOp(ctx, 1, 1, 4, htm::AbortCause::kOther);
+  RunOp(ctx, 1, 1, 6, htm::AbortCause::kExplicit);
+  RunOp(ctx, 1, 1, 6, htm::AbortCause::kOther);
   EXPECT_EQ(ctx.predictor_limit(1, 0), 40u);
   EXPECT_EQ(ctx.stats.predictor_decreases, 0u);
   EXPECT_EQ(ctx.stats.predictor_increases, 0u);
-  EXPECT_EQ(ctx.stats.aborts_explicit, 4u);
-  EXPECT_EQ(ctx.stats.aborts_other, 4u);
+  EXPECT_EQ(ctx.stats.aborts_explicit, 6u);
+  EXPECT_EQ(ctx.stats.aborts_other, 6u);
 }
 
 TEST_F(PredictorTest, ShrinkClampsAtMinLimit) {
-  SelectPredictor(PredictorKind::kCost);
-  StConfig config = CostConfig(4);
+  StConfig config = FastPathConfig(4);
   config.min_split_limit = 3;
   smr::StackTrackSmr::Domain domain(config);
   StContext& ctx = domain.AcquireHandle();
-  RunOp(ctx, 1, 1, 8, htm::AbortCause::kCapacity);
+  // Three full capacity streaks: the first shrinks 4 -> 3, the next two hit the floor.
+  RunOp(ctx, 1, 1, 15, htm::AbortCause::kCapacity);
   EXPECT_EQ(ctx.predictor_limit(1, 0), 3u);
+  EXPECT_EQ(ctx.stats.predictor_decreases, 1u);
 }
 
 TEST_F(PredictorTest, GrowthClampsAtMaxLimit) {
-  SelectPredictor(PredictorKind::kCost);
-  StConfig config = CostConfig(40);
+  StConfig config = FastPathConfig(40);
   config.max_split_limit = 42;
   smr::StackTrackSmr::Domain domain(config);
   StContext& ctx = domain.AcquireHandle();
-  for (int op = 0; op < 30; ++op) {
+  for (int op = 0; op < 30; ++op) {  // six commit streaks, two of them below the cap
     RunOp(ctx, 1, 1, 0, htm::AbortCause::kNone);
   }
   EXPECT_EQ(ctx.predictor_limit(1, 0), 42u);
+  EXPECT_EQ(ctx.stats.predictor_increases, 2u);
 }
 
-// A deterministic capacity cliff at limit 10 (every attempt above it aborts): the
-// cost model must converge below the cliff and then hold still — the remembered
-// capacity ceiling plus the grow/shrink dead band prevent the ±1 hunting the streak
-// rule exhibits around a hard footprint edge.
-TEST_F(PredictorTest, HysteresisParksBelowACapacityCliffWithoutOscillating) {
-  SelectPredictor(PredictorKind::kCost);
-  smr::StackTrackSmr::Domain domain(CostConfig(40));
-  StContext& ctx = domain.AcquireHandle();
-
-  auto cliff_op = [&ctx]() {
-    ST_OP_BEGIN(ctx, 2);
-    for (int bb = 0; bb < 8; ++bb) {
-      ST_CHECKPOINT(ctx);
-      if (!ctx.in_slow_segment() && ctx.current_limit() > 10) {
-        htm::TxAbort(htm::AbortCause::kCapacity);
-      }
-    }
-    ST_OP_END(ctx);
-  };
-
-  for (int op = 0; op < 60; ++op) {
-    cliff_op();
-  }
-  const uint32_t converged = ctx.predictor_limit(2, 0);
-  EXPECT_LE(converged, 10u);
-  EXPECT_GT(converged, 0u);
-
-  const uint64_t moves_before =
-      ctx.stats.predictor_increases + ctx.stats.predictor_decreases;
-  for (int op = 0; op < 200; ++op) {
-    cliff_op();
-  }
-  const uint64_t moves =
-      ctx.stats.predictor_increases + ctx.stats.predictor_decreases - moves_before;
-  EXPECT_LE(moves, 4u) << "limit still hunting around the cliff";
-  EXPECT_LE(ctx.predictor_limit(2, 0), 10u);
-}
-
+// Offline warm start under the streak rule: a loaded table seeds the first touch of a
+// cell in every context and thread, and the table is read-only afterwards — what a
+// context learns never flows back into it.
 TEST_F(PredictorTest, WarmStartInheritanceAcrossContextsAndThreads) {
-  SelectPredictor(PredictorKind::kCost);
+  PredictorWarmTable& table = PredictorWarmTable::Instance();
+  std::string error;
+  ASSERT_TRUE(table.LoadFromJson(R"({"cells": [{"op": 3, "segment": 0, "limit": 30}]})",
+                                 &error))
+      << error;
+  ASSERT_EQ(table.CountSeeds(), 1u);
+
   {
-    smr::StackTrackSmr::Domain domain(CostConfig(40));
+    smr::StackTrackSmr::Domain domain(FastPathConfig(40));
     StContext& ctx = domain.AcquireHandle();
-    RunOp(ctx, 3, 1, 1, htm::AbortCause::kCapacity);  // 40 -> 30
-    ASSERT_EQ(ctx.predictor_limit(3, 0), 30u);
-  }  // domain destruction publishes learned limits into the shared table
+    EXPECT_EQ(TouchAndPeek(ctx, 3), 30u);  // seeded, not the initial 40
+    EXPECT_GT(ctx.stats.predictor_warm_seeds, 0u);
+    RunOp(ctx, 3, 1, 5, htm::AbortCause::kCapacity);  // one streak: 30 -> 29
+    ASSERT_EQ(ctx.predictor_limit(3, 0), 29u);
+    RunOp(ctx, 4, 1, 0, htm::AbortCause::kNone);      // an unseeded cell, learned here
+  }  // destroying the context publishes nothing
+  EXPECT_EQ(table.CountSeeds(), 1u);
+  EXPECT_EQ(table.Seed(3, 0), 30u);
+  EXPECT_EQ(table.Seed(4, 0), 0u);
 
-  EXPECT_GT(PredictorWarmTable::Instance().CountSeeds(), 0u);
-
-  // Same thread, fresh context: first touch inherits 30, not the initial 40.
-  smr::StackTrackSmr::Domain domain(CostConfig(40));
+  // Same thread, fresh context: first touch sees the loaded seed again.
+  smr::StackTrackSmr::Domain domain(FastPathConfig(40));
   StContext& ctx = domain.AcquireHandle();
   EXPECT_EQ(TouchAndPeek(ctx, 3), 30u);
-  EXPECT_GE(ctx.stats.predictor_warm_seeds, 1u);
+  EXPECT_EQ(TouchAndPeek(ctx, 4), 40u);
 
-  // A thread registering later inherits too (the paper's per-thread tables would
-  // re-derive from the initial limit here).
+  // A thread registering later is seeded too.
   uint32_t seen = 0;
   std::thread worker([&domain, &seen] {
     runtime::ThreadScope worker_scope;
@@ -264,14 +185,13 @@ TEST_F(PredictorTest, WarmStartInheritanceAcrossContextsAndThreads) {
   });
   worker.join();
   EXPECT_EQ(seen, 30u);
+  EXPECT_EQ(table.CountSeeds(), 1u);
 }
 
-// Satellite: PredictorTableToJson -> StConfig::warm_start_path round trip. The dump
-// of a live table, written to disk and loaded through the config hook, must seed a
-// fresh context with exactly the dumped limits (streak mode: the explicit load, not
-// cost-mode publishing, is what flows the data).
+// PredictorTableToJson -> StConfig::warm_start_path round trip. The dump of a live
+// table, written to disk and loaded through the config hook (LoadFromFile ->
+// LoadFromJson), must seed a fresh context with exactly the dumped limits.
 TEST_F(PredictorTest, DumpToWarmStartRoundTrip) {
-  SelectPredictor(PredictorKind::kStreak);
   std::string dump;
   {
     StConfig config;
@@ -302,12 +222,12 @@ TEST_F(PredictorTest, DumpToWarmStartRoundTrip) {
   EXPECT_FALSE(ctx.predictor_cell_initialized(7, 0));
 }
 
-// Satellite regression: cells whose limit legitimately reached a min_split_limit of
-// 0 used to be silently skipped by the dump (limit == 0 doubled as "uninitialized")
-// and re-initialized on the next touch. Both halves are fixed by the explicit
-// first-touch marker.
+// Regression: cells whose limit legitimately reached a min_split_limit of 0 used to
+// be silently skipped by the dump (limit == 0 doubled as "uninitialized") and
+// re-initialized on the next touch. Both halves are fixed by the explicit first-touch
+// marker. Loading such a dump leaves the 0 cell unseeded: the warm table reads 0 as
+// "no seed".
 TEST_F(PredictorTest, DumpKeepsCellsAtZeroMinLimitAndNoReinit) {
-  SelectPredictor(PredictorKind::kStreak);
   StConfig config;
   config.initial_split_limit = 1;
   config.min_split_limit = 0;
@@ -321,8 +241,9 @@ TEST_F(PredictorTest, DumpKeepsCellsAtZeroMinLimitAndNoReinit) {
   ASSERT_EQ(ctx.predictor_limit(8, 0), 0u);
   ASSERT_TRUE(ctx.predictor_cell_initialized(8, 0));
 
+  const std::string dump = PredictorTableToJson();
   minijson::Value doc;
-  ASSERT_TRUE(minijson::Parse(PredictorTableToJson(), &doc));
+  ASSERT_TRUE(minijson::Parse(dump, &doc));
   const minijson::Value* threads = doc.Find("threads");
   ASSERT_NE(threads, nullptr);
   bool found = false;
@@ -338,6 +259,11 @@ TEST_F(PredictorTest, DumpKeepsCellsAtZeroMinLimitAndNoReinit) {
   }
   EXPECT_TRUE(found) << "limit-0 cell missing from the dump";
 
+  std::string error;
+  ASSERT_TRUE(PredictorWarmTable::Instance().LoadFromJson(dump, &error)) << error;
+  EXPECT_TRUE(PredictorWarmTable::Instance().loaded());
+  EXPECT_EQ(PredictorWarmTable::Instance().Seed(8, 0), 0u);
+
   // The learned 0 survives the next touch instead of re-initializing to 1.
   RunOp(ctx, 8, 1, 0, htm::AbortCause::kNone);
   EXPECT_EQ(ctx.predictor_limit(8, 0), 0u);
@@ -346,42 +272,36 @@ TEST_F(PredictorTest, DumpKeepsCellsAtZeroMinLimitAndNoReinit) {
 #if defined(STACKTRACK_TRACE_ENABLED)
 TEST_F(PredictorTest, TraceRecordsCarryCauseTagAndCellCoordinates) {
   namespace trace = runtime::trace;
-  SelectPredictor(PredictorKind::kCost);
-  smr::StackTrackSmr::Domain domain(CostConfig(40));
+  smr::StackTrackSmr::Domain domain(FastPathConfig(40));
   StContext& ctx = domain.AcquireHandle();
 
   trace::ResetAll();
   trace::Arm(true);
-  RunOp(ctx, 2, 1, 1, htm::AbortCause::kCapacity);   // one multiplicative shrink
-  RunOp(ctx, 2, 1, 2, htm::AbortCause::kConflict);   // one gentle shrink
-  for (int op = 0; op < 30; ++op) {                  // growth once pressure decays
+  RunOp(ctx, 2, 1, 5, htm::AbortCause::kCapacity);  // one capacity streak: 40 -> 39
+  for (int op = 0; op < 10; ++op) {                 // with the op above: 11 commits
     RunOp(ctx, 2, 1, 0, htm::AbortCause::kNone);
   }
   trace::Arm(false);
 
-  int capacity_shrinks = 0;
-  int conflict_shrinks = 0;
-  int grows = 0;
+  int shrinks = 0;
+  std::vector<uint32_t> grown_to;
   for (const trace::MergedRecord& r : trace::CollectMerged()) {
+    if (r.event != trace::Event::kPredictorShrink && r.event != trace::Event::kPredictorGrow) {
+      continue;
+    }
+    EXPECT_EQ(PredictorTraceOp(r.arg), 2u);
+    EXPECT_EQ(PredictorTraceSegment(r.arg), 0u);
     if (r.event == trace::Event::kPredictorShrink) {
-      EXPECT_EQ(PredictorTraceOp(r.arg), 2u);
-      EXPECT_EQ(PredictorTraceSegment(r.arg), 0u);
-      if (PredictorTraceFamily(r.arg) == CauseFamily::kCapacity) {
-        ++capacity_shrinks;
-        EXPECT_EQ(PredictorTraceLimit(r.arg), 30u);
-      } else if (PredictorTraceFamily(r.arg) == CauseFamily::kConflict) {
-        ++conflict_shrinks;
-        EXPECT_EQ(PredictorTraceLimit(r.arg), 29u);
-      }
-    } else if (r.event == trace::Event::kPredictorGrow) {
+      ++shrinks;
+      EXPECT_EQ(PredictorTraceFamily(r.arg), CauseFamily::kCapacity);
+      EXPECT_EQ(PredictorTraceLimit(r.arg), 39u);
+    } else {
       EXPECT_EQ(PredictorTraceFamily(r.arg), CauseFamily::kCommit);
-      EXPECT_EQ(PredictorTraceOp(r.arg), 2u);
-      ++grows;
+      grown_to.push_back(PredictorTraceLimit(r.arg));
     }
   }
-  EXPECT_EQ(capacity_shrinks, 1);
-  EXPECT_EQ(conflict_shrinks, 1);
-  EXPECT_GT(grows, 0);
+  EXPECT_EQ(shrinks, 1);
+  EXPECT_EQ(grown_to, (std::vector<uint32_t>{40, 41}));
 }
 #endif  // STACKTRACK_TRACE_ENABLED
 
