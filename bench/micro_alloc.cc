@@ -149,7 +149,7 @@ BENCHMARK(BM_AllocFreeCrossThread)
     ->Teardown(ResetMailboxes);
 
 // Reclamation-path probe: OwnsLive + UsableSize per free-set candidate, exactly what
-// ScanAndFree / ScanAndFreeHashed pay per entry before any root scanning happens.
+// ScanAndFree pays per entry before any root scanning happens.
 void BM_OwnsLiveProbe(benchmark::State& state) {
   auto& pool = runtime::PoolAllocator::Instance();
   void* blocks[kBatch];

@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <vector>
 
 #include "core/free_proc.h"
 #include "core/split_engine.h"
@@ -81,19 +82,21 @@ void BM_StOpBrackets(benchmark::State& state) {
 }
 BENCHMARK(BM_StOpBrackets);
 
-void BM_InspectThread(benchmark::State& state) {
+// One thread's root collection (12 exposed registers + a 16-word tracked frame): the
+// per-thread unit cost of a reclamation round's root table.
+void BM_CollectThreadRoots(benchmark::State& state) {
   runtime::ThreadScope scope;
   smr::StackTrackSmr::Domain domain;
   auto& h = domain.AcquireHandle();
   core::TrackedFrame<16> frame(h);
-  void* probe = runtime::PoolAllocator::Instance().Alloc(64);
+  std::vector<uintptr_t> roots;
+  roots.reserve(64);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::InspectThread(h, h, reinterpret_cast<uintptr_t>(probe), 64,
-                                                 /*check_refset=*/false));
+    roots.clear();
+    benchmark::DoNotOptimize(core::CollectThreadRoots(h, h, /*check_refset=*/false, roots));
   }
-  runtime::PoolAllocator::Instance().Free(probe);
 }
-BENCHMARK(BM_InspectThread);
+BENCHMARK(BM_CollectThreadRoots);
 
 void BM_ListContains_StackTrack(benchmark::State& state) {
   runtime::ThreadScope scope;

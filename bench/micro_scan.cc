@@ -3,10 +3,10 @@
 // Scenario: a fixed population of "victim" contexts pins a set of candidate nodes
 // through their tracked frames (set up single-threaded, before any scan, so every
 // root sweep observes the pins). Each bench thread acts as an independent reclaimer
-// whose free set holds its own slice of the pinned candidates and repeatedly runs the
-// hashed SCAN_AND_FREE: because every candidate is pinned, each scan is a full
-// verdict round (one root collection + one range probe per candidate) that frees
-// nothing — a steady-state workload whose cost is exactly the scan path.
+// whose free set holds its own slice of the pinned candidates and repeatedly runs
+// SCAN_AND_FREE: because every candidate is pinned, each scan is a full verdict round
+// (one root collection + one range probe per candidate) that frees nothing — a
+// steady-state workload whose cost is exactly the scan path.
 //
 // Every reclaimer collects its own root table each round, so aggregate throughput
 // grows with reclaimer count only as far as the host has idle cores.
@@ -41,7 +41,6 @@ constexpr uint32_t kFramesPerVictim = core::kMaxFrames;
 
 core::StConfig BenchConfig() {
   core::StConfig config;
-  config.hashed_scan = true;
   config.max_free = 64;  // above the working-set size: no back-pressure interference
   return config;
 }
@@ -105,7 +104,7 @@ void TearDownPinnedCandidates(const benchmark::State&) {
 }
 
 // One reclaimer: its free set holds its slice of pinned candidates; every iteration
-// is a full hashed scan round over them. items_per_second = candidate verdicts/sec.
+// is a full verdict round over them. items_per_second = candidate verdicts/sec.
 void BM_ScanHashedConcurrentReclaimers(benchmark::State& state) {
   runtime::ThreadScope scope;
   core::StContext ctx(scope.tid(), BenchConfig());
@@ -117,7 +116,7 @@ void BM_ScanHashedConcurrentReclaimers(benchmark::State& state) {
 
   const core::Stats before = ctx.stats;
   for (auto _ : state) {
-    core::ScanAndFreeHashed(ctx);
+    core::ScanAndFree(ctx);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kCandidatesPerReclaimer));
@@ -134,37 +133,6 @@ BENCHMARK(BM_ScanHashedConcurrentReclaimers)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime()
-    ->Setup(SetUpPinnedCandidates)
-    ->Teardown(TearDownPinnedCandidates);
-
-// Reference point: the per-candidate Algorithm 1 loop (no root table at all).
-void BM_ScanPerCandidateConcurrentReclaimers(benchmark::State& state) {
-  runtime::ThreadScope scope;
-  core::StConfig config = BenchConfig();
-  config.hashed_scan = false;
-  core::StContext ctx(scope.tid(), config);
-  const std::size_t begin = static_cast<std::size_t>(state.thread_index()) *
-                            kCandidatesPerReclaimer;
-  for (std::size_t i = 0; i < kCandidatesPerReclaimer; ++i) {
-    ctx.MutableFreeSet().push_back(g_fixture.candidates[begin + i]);
-  }
-
-  const core::Stats before = ctx.stats;
-  for (auto _ : state) {
-    core::ScanAndFree(ctx);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kCandidatesPerReclaimer));
-  ctx.MutableFreeSet().clear();
-
-  if (ctx.stats.frees != before.frees) {
-    state.SkipWithError("pinned candidate was freed: scan verdict is wrong");
-  }
-}
-BENCHMARK(BM_ScanPerCandidateConcurrentReclaimers)
-    ->Threads(1)
     ->Threads(8)
     ->UseRealTime()
     ->Setup(SetUpPinnedCandidates)

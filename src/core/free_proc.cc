@@ -66,44 +66,6 @@ Watchdog& TheWatchdog() {
   return wd;
 }
 
-// One unsynchronized pass over the target's exposed registers and tracked frames.
-// Pointer matching is range containment, which subsumes exact matches, interior
-// pointers (array elements, member addresses) and mark/freeze tag bits folded into
-// low pointer bits by the data structures.
-bool ScanRootsOnce(StContext& reclaimer, const StContext& target, uintptr_t base,
-                   std::size_t length) {
-  // scan_words accumulates locally and is flushed once per exit — a per-word store
-  // to the (cross-thread-summed) stats block is a hot-loop write the scan can skip.
-  uint64_t scanned = 0;
-  for (uint32_t i = 0; i < kRegisterSlots; ++i) {
-    const uintptr_t word = target.exposed_regs[i].load(std::memory_order_acquire);
-    ++scanned;
-    if (word - base < length) {
-      reclaimer.stats.scan_words += scanned;
-      return true;
-    }
-  }
-  const uint32_t frames = target.frame_count.load(std::memory_order_acquire);
-  for (uint32_t f = 0; f < frames && f < kMaxFrames; ++f) {
-    const uintptr_t lo = target.frames[f].lo.load(std::memory_order_acquire);
-    const uintptr_t hi = target.frames[f].hi.load(std::memory_order_acquire);
-    if (lo == 0 || hi <= lo) {
-      continue;
-    }
-    for (uintptr_t addr = lo; addr + sizeof(uintptr_t) <= hi; addr += sizeof(uintptr_t)) {
-      const uintptr_t word =
-          reinterpret_cast<const std::atomic<uintptr_t>*>(addr)->load(std::memory_order_acquire);
-      ++scanned;
-      if (word - base < length) {
-        reclaimer.stats.scan_words += scanned;
-        return true;
-      }
-    }
-  }
-  reclaimer.stats.scan_words += scanned;
-  return false;
-}
-
 }  // namespace
 
 void WatchdogTick(StContext& reclaimer) {
@@ -139,18 +101,24 @@ void WatchdogTick(StContext& reclaimer) {
   wd.latch.Unlock();
 }
 
-bool InspectThread(StContext& reclaimer, StContext& target, uintptr_t base,
-                   std::size_t length, bool check_refset) {
+bool CollectThreadRoots(StContext& reclaimer, const StContext& target, bool check_refset,
+                        std::vector<uintptr_t>& roots) {
   ++reclaimer.stats.scan_thread_inspects;
   // Algorithm 1's restart argument assumes the exposing thread always finishes its
   // commit; a thread preempted (or killed) mid-exposure would otherwise spin this
-  // loop forever and wedge every reclaimer behind it. Cap the retries and answer
-  // "live" on exhaustion — conservatively delaying the free is always safe, the
-  // candidate just stays buffered and back-pressure takes over.
+  // loop forever and wedge every reclaimer behind it. Cap the retries and report the
+  // table incomplete on exhaustion — conservatively delaying the free is always safe,
+  // the candidates just stay buffered and back-pressure takes over.
   const uint32_t retry_cap = reclaimer.config().inspect_retry_cap;
   runtime::ExponentialBackoff backoff(16, 4096);
   uint32_t retries = 0;
+  // scan_words accumulates locally (across retries) and is flushed once on exit — a
+  // per-word store to the (cross-thread-summed) stats block is a hot-loop write the
+  // sweep can skip.
+  uint64_t scanned = 0;
+  const std::size_t mark = roots.size();
   const uint64_t oper_pre = target.oper_counter.load(std::memory_order_acquire);
+  bool complete = false;
   while (true) {
     const uint64_t seq_pre = target.splits_seq.load(std::memory_order_acquire);
     if ((seq_pre & 1) != 0) {
@@ -159,68 +127,83 @@ bool InspectThread(StContext& reclaimer, StContext& target, uintptr_t base,
       ++reclaimer.stats.scan_restarts;
       if (++retries > retry_cap) {
         ++reclaimer.stats.scan_retry_capped;
-        return true;  // conservative: treat as referenced
+        break;
       }
       backoff.Pause();
       sched_yield();
       if (target.oper_counter.load(std::memory_order_acquire) != oper_pre) {
-        return false;  // operation completed; its roots are dead
+        complete = true;  // operation completed; its roots are dead
+        break;
       }
       continue;
     }
+    if (check_refset && target.ref_set.overflowed()) {
+      break;
+    }
+    const uint32_t refset_count = check_refset ? target.ref_set.size() : 0;
     runtime::fault::MaybeStall(runtime::fault::Site::kInspectStall);
-    bool found = ScanRootsOnce(reclaimer, target, base, length);
-    if (!found && check_refset) {
-      found = target.ref_set.ContainsRange(base, length);
+    // Raw words, unfiltered: the verdict probe matches by range containment, which
+    // subsumes exact matches, interior pointers (array elements, member addresses)
+    // and mark/freeze tag bits folded into low pointer bits by the data structures.
+    for (uint32_t i = 0; i < kRegisterSlots; ++i) {
+      const uintptr_t word = target.exposed_regs[i].load(std::memory_order_acquire);
+      ++scanned;
+      if (word != 0) {
+        roots.push_back(word);
+      }
+    }
+    const uint32_t frames = target.frame_count.load(std::memory_order_acquire);
+    for (uint32_t f = 0; f < frames && f < kMaxFrames; ++f) {
+      const uintptr_t lo = target.frames[f].lo.load(std::memory_order_acquire);
+      const uintptr_t hi = target.frames[f].hi.load(std::memory_order_acquire);
+      if (lo == 0 || hi <= lo) {
+        continue;
+      }
+      for (uintptr_t addr = lo; addr + sizeof(uintptr_t) <= hi; addr += sizeof(uintptr_t)) {
+        const uintptr_t word =
+            reinterpret_cast<const std::atomic<uintptr_t>*>(addr)->load(
+                std::memory_order_acquire);
+        ++scanned;
+        if (word != 0) {
+          roots.push_back(word);
+        }
+      }
+    }
+    for (uint32_t i = 0; i < refset_count; ++i) {
+      const uintptr_t word = target.ref_set.slot(i);
+      if (word != 0) {
+        roots.push_back(word);
+      }
     }
     const uint64_t seq_post = target.splits_seq.load(std::memory_order_acquire);
     const uint64_t oper_post = target.oper_counter.load(std::memory_order_acquire);
     if (oper_pre != oper_post) {
       // The scanned operation finished: whatever we observed is obsolete, and the
-      // roots it held are gone. Continue to the next thread (Algorithm 1 lines 25-29).
-      return false;
+      // roots it held are gone. Move on to the next thread (Algorithm 1 lines 25-29).
+      roots.resize(mark);
+      complete = true;
+      break;
     }
     if (seq_pre != seq_post ||
         runtime::fault::ShouldFire(runtime::fault::Site::kSplitsBump)) {
-      // A segment committed mid-scan (or the injector pretends one did); rescan.
+      // A segment committed mid-sweep (or the injector pretends one did); resweep.
+      roots.resize(mark);
       ++reclaimer.stats.scan_restarts;
       if (++retries > retry_cap) {
         ++reclaimer.stats.scan_retry_capped;
-        return true;
+        break;
       }
       backoff.Pause();
       continue;
     }
-    return found;
+    complete = true;
+    break;
   }
+  reclaimer.stats.scan_words += scanned;
+  return complete;
 }
 
-bool CandidateIsLive(StContext& reclaimer, uintptr_t base, std::size_t length) {
-  const bool check_refsets = reclaimer.config().scan_refsets_always ||
-                             GlobalSlowPathCount().load(std::memory_order_acquire) != 0;
-  const uint32_t watermark = runtime::ThreadRegistry::Instance().high_watermark();
-  for (uint32_t tid = 0; tid < watermark; ++tid) {
-    StContext* target = ActivityArray::Instance().Get(tid);
-    if (target == nullptr || target == &reclaimer) {
-      // Skip self: a scan runs after the reclaimer's final segment committed, so
-      // roots still sitting in its own frames are dead by contract.
-      continue;
-    }
-    if (InspectThread(reclaimer, *target, base, length, check_refsets)) {
-      ++reclaimer.stats.scan_hits;
-      return true;
-    }
-  }
-  return false;
-}
-
-void ScanAndFree(StContext& reclaimer) {
-  ReclaimEngine::Run(reclaimer, ScanMode::kPerCandidate);
-}
-
-void ScanAndFreeHashed(StContext& reclaimer) {
-  ReclaimEngine::Run(reclaimer, ScanMode::kSnapshot);
-}
+void ScanAndFree(StContext& reclaimer) { ReclaimEngine::Run(reclaimer); }
 
 uint64_t StalledThreadMask() {
   return TheWatchdog().stalled_mask.load(std::memory_order_acquire);

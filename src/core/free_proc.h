@@ -1,12 +1,13 @@
 // The StackTrack free procedure (Algorithm 1): SCAN_AND_FREE plus the per-thread
-// inspection protocol (IS_IN_STACK / IS_IN_REGISTERS with the splits-counter retry and
-// the oper-counter shortcut).
+// root collection protocol (IS_IN_STACK / IS_IN_REGISTERS with the splits-counter
+// retry and the oper-counter shortcut), run once per round into the §5.2 root table.
 #ifndef STACKTRACK_CORE_FREE_PROC_H_
 #define STACKTRACK_CORE_FREE_PROC_H_
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/thread_context.h"
 #include "runtime/barrier.h"
@@ -57,30 +58,26 @@ uint64_t StalledThreadMask();
 // watchdog latch is skipped (rounds are global, not per thread).
 void WatchdogTick(StContext& reclaimer);
 
-// Scans every registered thread's roots for references into the reclaimer's free set
-// and returns the memory of unreferenced candidates to the pool (after quarantining the
-// range so in-flight transactional readers abort). Survivors stay buffered for the
-// next call. Runs non-transactionally; multiple reclaimers may scan concurrently.
-// Forwards to ReclaimEngine::Run(kPerCandidate) — see core/reclaim_engine.h.
+// One reclamation round (Algorithm 1's SCAN_AND_FREE with the paper's §5.2
+// optimization): collects every other registered thread's roots once into a sorted
+// table, answers each free-set candidate with a range probe, and returns the memory of
+// unreferenced candidates to the pool (after quarantining the range so in-flight
+// transactional readers abort). Survivors stay buffered for the next call. Runs
+// non-transactionally; multiple reclaimers may scan concurrently. Forwards to
+// ReclaimEngine::Run — see core/reclaim_engine.h.
 void ScanAndFree(StContext& reclaimer);
 
-// One candidate inspection across all threads: true when some thread (other than the
-// reclaimer) may still hold a reference into [base, base + length). Exposed for tests
-// and the scan-behaviour benchmark.
-bool CandidateIsLive(StContext& reclaimer, uintptr_t base, std::size_t length);
-
-// Inspection of one thread's roots with the consistency protocol of Algorithm 1
-// (lines 12-30). `check_refset` additionally consults the slow-path reference set.
-bool InspectThread(StContext& reclaimer, StContext& target, uintptr_t base,
-                   std::size_t length, bool check_refset);
-
-// The paper's §5.2 optimization: instead of rescanning every thread per candidate,
-// collect all root words once (per-thread, under the same splits/oper consistency
-// protocol) into a sorted table, then answer each candidate with a range probe —
-// average O(1) work per freed pointer. Enabled with StConfig::hashed_scan; ablated by
-// bench/ablation_scan. Forwards to ReclaimEngine::Run(kSnapshot), which collects a
-// root table private to that round — see core/reclaim_engine.h.
-void ScanAndFreeHashed(StContext& reclaimer);
+// Appends one thread's roots (exposed registers, tracked frame words, and reference-set
+// entries when `check_refset`) to `roots` under Algorithm 1's consistency protocol
+// (lines 12-30): an odd or changed splits counter retries, up to
+// StConfig::inspect_retry_cap. If the target's oper_counter moves (while waiting out an
+// odd counter or across the sweep) its operation finished and every root it held is
+// dead — every candidate was retired before the round began, so no later operation can
+// reach one — and the thread contributes nothing. Returns false, leaving `roots` as it
+// found it, on retry exhaustion or an overflowed (unenumerable) reference set: the
+// table is then incomplete and the round must free nothing.
+bool CollectThreadRoots(StContext& reclaimer, const StContext& target, bool check_refset,
+                        std::vector<uintptr_t>& roots);
 
 }  // namespace stacktrack::core
 

@@ -1,14 +1,10 @@
 #include "core/reclaim_engine.h"
 
-#include <sched.h>
-
 #include <algorithm>
 #include <vector>
 
 #include "core/free_proc.h"
 #include "htm/htm.h"
-#include "runtime/backoff.h"
-#include "runtime/fault.h"
 #include "runtime/pool_alloc.h"
 #include "runtime/trace.h"
 
@@ -73,7 +69,7 @@ void ApplyBackPressure(StContext& reclaimer) {
 // transactional readers abort before the memory is poisoned) and then returned to
 // the pool together. Survivors compact in place.
 template <typename LiveProbe>
-void VerdictShards(StContext& reclaimer, bool count_hits, LiveProbe&& live) {
+void VerdictShards(StContext& reclaimer, LiveProbe&& live) {
   std::vector<void*>& free_set = reclaimer.MutableFreeSet();
   auto& pool = runtime::PoolAllocator::Instance();
   std::size_t kept = 0;
@@ -93,9 +89,7 @@ void VerdictShards(StContext& reclaimer, bool count_hits, LiveProbe&& live) {
       }
       const std::size_t length = pool.UsableSize(ptr);
       if (live(reinterpret_cast<uintptr_t>(ptr), length)) {
-        if (count_hits) {
-          ++reclaimer.stats.scan_hits;
-        }
+        ++reclaimer.stats.scan_hits;
         free_set[kept++] = ptr;  // still referenced; retry next scan
         continue;
       }
@@ -117,89 +111,6 @@ void VerdictShards(StContext& reclaimer, bool count_hits, LiveProbe&& live) {
   free_set.resize(kept);
 }
 
-// Appends one thread's roots (exposed registers + tracked frame words + reference-set
-// entries when requested) to `roots` under the splits/oper consistency protocol.
-// Retries on any movement. Returns false, leaving `roots` as it found it, on retry
-// exhaustion or an overflowed (unenumerable) reference set: the table is incomplete.
-bool CollectOneThread(StContext& reclaimer, const StContext& target, bool check_refset,
-                      std::vector<uintptr_t>& roots) {
-  ++reclaimer.stats.scan_thread_inspects;
-  const uint32_t retry_cap = reclaimer.config().inspect_retry_cap;
-  runtime::ExponentialBackoff backoff(16, 4096);
-  uint32_t retries = 0;
-  // As in the per-candidate scan, scan_words accumulates locally (across retries) and
-  // is flushed once on exit.
-  uint64_t scanned = 0;
-  const std::size_t mark = roots.size();
-  bool complete = false;
-  while (true) {
-    const uint64_t seq_pre = target.splits_seq.load(std::memory_order_acquire);
-    const uint64_t oper_pre = target.oper_counter.load(std::memory_order_acquire);
-    if ((seq_pre & 1) != 0) {
-      ++reclaimer.stats.scan_restarts;
-      if (++retries > retry_cap) {
-        ++reclaimer.stats.scan_retry_capped;
-        break;
-      }
-      backoff.Pause();
-      sched_yield();
-      continue;
-    }
-    if (check_refset && target.ref_set.overflowed()) {
-      break;
-    }
-    const uint32_t refset_count = check_refset ? target.ref_set.size() : 0;
-    runtime::fault::MaybeStall(runtime::fault::Site::kInspectStall);
-    for (uint32_t i = 0; i < kRegisterSlots; ++i) {
-      const uintptr_t word = target.exposed_regs[i].load(std::memory_order_acquire);
-      ++scanned;
-      if (word != 0) {
-        roots.push_back(word);
-      }
-    }
-    const uint32_t frames = target.frame_count.load(std::memory_order_acquire);
-    for (uint32_t f = 0; f < frames && f < kMaxFrames; ++f) {
-      const uintptr_t lo = target.frames[f].lo.load(std::memory_order_acquire);
-      const uintptr_t hi = target.frames[f].hi.load(std::memory_order_acquire);
-      if (lo == 0 || hi <= lo) {
-        continue;
-      }
-      for (uintptr_t addr = lo; addr + sizeof(uintptr_t) <= hi; addr += sizeof(uintptr_t)) {
-        const uintptr_t word =
-            reinterpret_cast<const std::atomic<uintptr_t>*>(addr)->load(
-                std::memory_order_acquire);
-        ++scanned;
-        if (word != 0) {
-          roots.push_back(word);
-        }
-      }
-    }
-    for (uint32_t i = 0; i < refset_count; ++i) {
-      const uintptr_t word = target.ref_set.slot(i);
-      if (word != 0) {
-        roots.push_back(word);
-      }
-    }
-    const uint64_t seq_post = target.splits_seq.load(std::memory_order_acquire);
-    const uint64_t oper_post = target.oper_counter.load(std::memory_order_acquire);
-    if (seq_pre != seq_post || oper_pre != oper_post ||
-        runtime::fault::ShouldFire(runtime::fault::Site::kSplitsBump)) {
-      roots.resize(mark);
-      ++reclaimer.stats.scan_restarts;
-      if (++retries > retry_cap) {
-        ++reclaimer.stats.scan_retry_capped;
-        break;
-      }
-      backoff.Pause();
-      continue;
-    }
-    complete = true;
-    break;
-  }
-  reclaimer.stats.scan_words += scanned;
-  return complete;
-}
-
 // Collects every other registered thread's roots into `roots`, sorted. Returns false
 // as soon as one thread's roots cannot be read: the round must then free nothing.
 bool CollectRoots(StContext& reclaimer, std::vector<uintptr_t>& roots) {
@@ -211,7 +122,7 @@ bool CollectRoots(StContext& reclaimer, std::vector<uintptr_t>& roots) {
     if (target == nullptr || target == &reclaimer) {
       continue;  // skip self: roots left in the reclaimer's own frames are dead
     }
-    if (!CollectOneThread(reclaimer, *target, check_refsets, roots)) {
+    if (!CollectThreadRoots(reclaimer, *target, check_refsets, roots)) {
       ++reclaimer.stats.snapshot_incomplete;
       return false;
     }
@@ -224,32 +135,22 @@ bool CollectRoots(StContext& reclaimer, std::vector<uintptr_t>& roots) {
 
 // ---- ReclaimEngine -----------------------------------------------------------------
 
-void ReclaimEngine::Run(StContext& reclaimer, ScanMode mode) {
+void ReclaimEngine::Run(StContext& reclaimer) {
   ++reclaimer.stats.scan_calls;
   AdoptDeferred(reclaimer);
   trace::Emit(trace::Event::kScanBegin, reclaimer.MutableFreeSet().size());
   const uint64_t frees_before = reclaimer.stats.frees;
   if (!reclaimer.MutableFreeSet().empty()) {
-    if (mode == ScanMode::kPerCandidate) {
-      // CandidateIsLive counts scan_hits itself (one per live verdict), so the shard
-      // loop must not double-count.
-      VerdictShards(reclaimer, /*count_hits=*/false,
-                    [&reclaimer](uintptr_t base, std::size_t length) {
-                      return CandidateIsLive(reclaimer, base, length);
-                    });
-    } else {
-      std::vector<uintptr_t> roots;
-      roots.reserve(256);
-      const bool complete = CollectRoots(reclaimer, roots);
-      VerdictShards(reclaimer, /*count_hits=*/true,
-                    [&roots, complete](uintptr_t base, std::size_t length) {
-                      if (!complete) {
-                        return true;  // an incomplete table cannot prove absence
-                      }
-                      const auto it = std::lower_bound(roots.begin(), roots.end(), base);
-                      return it != roots.end() && *it - base < length;
-                    });
-    }
+    std::vector<uintptr_t> roots;
+    roots.reserve(256);
+    const bool complete = CollectRoots(reclaimer, roots);
+    VerdictShards(reclaimer, [&roots, complete](uintptr_t base, std::size_t length) {
+      if (!complete) {
+        return true;  // an incomplete table cannot prove absence
+      }
+      const auto it = std::lower_bound(roots.begin(), roots.end(), base);
+      return it != roots.end() && *it - base < length;
+    });
   }
   ApplyBackPressure(reclaimer);
   WatchdogTick(reclaimer);

@@ -4,19 +4,17 @@
 // deferred-list adoption, exit handoff) funnels through one engine with fixed stages:
 //
 //   ingest    adopt a batch of globally deferred candidates into the local free set
-//   verdict   decide live/dead for each candidate, in shards, against one source:
-//               - per-candidate rescan of every thread (Algorithm 1), or
-//               - a root table collected once per round (the paper's §5.2 hashed scan)
+//   verdict   collect every other registered thread's roots once into a sorted table
+//             (the paper's §5.2 hashed scan), then probe it by range per candidate
 //   release   batch-quarantine the dead shard, then batch-return it to the pool
 //   relieve   back-pressure: spill survivors past the high-water mark, adapt the
 //             scan trigger
 //   observe   watchdog tick (stalled-thread detection)
 //
-// The hashed scan's root table is private to one round: every other registered
-// thread's roots are collected under the splits/oper consistency protocol, sorted, and
-// probed by range once per candidate. As in the per-candidate scan, the reclaimer's
-// own thread is skipped: its operation is over, so roots still in its frames are dead
-// by contract.
+// The root table is private to one round. Each thread's roots are collected under
+// Algorithm 1's splits/oper consistency protocol (CollectThreadRoots,
+// core/free_proc.h). The reclaimer's own thread is skipped: its operation is over, so
+// roots still in its frames are dead by contract.
 //
 // An INCOMPLETE table (a thread hit the collection retry cap, or an overflowed
 // reference set could not be enumerated) frees NOTHING: the table is a proof of
@@ -29,18 +27,12 @@
 
 namespace stacktrack::core {
 
-// How the verdict stage decides liveness.
-enum class ScanMode {
-  kPerCandidate,  // rescan every thread per candidate (Algorithm 1); no table
-  kSnapshot,      // one root table collected for the round, probed per candidate
-};
-
 // The pipeline driver. Stateless: all per-reclaimer state lives on the StContext.
 class ReclaimEngine {
  public:
   // One reclamation round over the reclaimer's free set (see stage list above).
   // Owner-thread only; distinct reclaimers may run concurrently.
-  static void Run(StContext& reclaimer, ScanMode mode);
+  static void Run(StContext& reclaimer);
 
   // Exit handoff: drain the local set and the global deferred list as far as
   // liveness allows, then hand survivors to the deferred list. Called from the

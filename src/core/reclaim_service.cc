@@ -42,9 +42,6 @@ ReclaimService::ReclaimService(const ReclaimServiceConfig& config) : config_(con
   if (config_.lag_check_interval == 0) {
     config_.lag_check_interval = 1;
   }
-  // Snapshot mode is the point of a dedicated reclaimer: consecutive batches reuse
-  // one published root collection instead of rescanning per candidate.
-  config_.reclaimer_config.hashed_scan = true;
   ring_mask_ = config_.ring_capacity - 1;
   rings_ = std::make_unique<Ring[]>(runtime::kMaxThreads);
   for (uint32_t tid = 0; tid < runtime::kMaxThreads; ++tid) {
@@ -204,13 +201,13 @@ std::size_t ReclaimService::DrainShards(uint32_t index, StContext& ctx) {
 
 void ReclaimService::RunRound(StContext& ctx) {
   const uint64_t frees_before = ctx.stats.frees;
-  ReclaimEngine::Run(ctx, ScanMode::kSnapshot);
+  ReclaimEngine::Run(ctx);
   if (ctx.stats.frees == frees_before && !ctx.MutableFreeSet().empty() &&
       StalledThreadMask() != 0) {
     // The round proved nothing dead and the watchdog blames a stalled thread:
     // re-queue the surviving batch to the deferred spillway instead of letting it
-    // wedge this reclaimer's free set. InspectThread's retry cap already bounded the
-    // time spent on the stalled victim; fresh hand-off batches keep flowing and any
+    // wedge this reclaimer's free set. CollectThreadRoots' retry cap already bounded
+    // the time spent on the stalled victim; fresh hand-off batches keep flowing and any
     // reclaimer retries the survivors once the stall clears.
     std::vector<void*>& free_set = ctx.MutableFreeSet();
     const std::size_t accepted =

@@ -317,7 +317,7 @@ void StContext::ExposeRegisters() {
   splits_seq.store(splits_seq.load(std::memory_order_relaxed) + 1,
                    std::memory_order_release);  // odd: exposure in flight
   // Injection: park this thread with the seqlock held odd — the adversarial case for
-  // scanners, whose odd-wait must be bounded (InspectThread's conservative answer).
+  // scanners, whose odd-wait must be bounded (CollectThreadRoots' retry cap).
   runtime::fault::MaybeStall(runtime::fault::Site::kExposeStall);
   for (uint32_t i = 0; i < kRegisterSlots; ++i) {
     exposed_regs[i].store(live_regs_[i], std::memory_order_release);
@@ -442,8 +442,7 @@ void StContext::MaybeReclaim() {
     ++stats.inline_fallbacks;
   }
   if (free_set_.size() >= scan_threshold_) {
-    ReclaimEngine::Run(*this, config_.hashed_scan ? ScanMode::kSnapshot
-                                                  : ScanMode::kPerCandidate);
+    ReclaimEngine::Run(*this);
   }
 }
 
@@ -451,8 +450,7 @@ std::size_t StContext::FlushFrees() {
   std::size_t previous = free_set_.size() + 1;
   while (!free_set_.empty() && free_set_.size() < previous) {
     previous = free_set_.size();
-    ReclaimEngine::Run(*this, config_.hashed_scan ? ScanMode::kSnapshot
-                                                  : ScanMode::kPerCandidate);
+    ReclaimEngine::Run(*this);
   }
   return free_set_.size();
 }

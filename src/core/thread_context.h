@@ -47,9 +47,9 @@ struct StConfig {
   uint32_t slow_after_fails = 24;     // consecutive segment failures before slow path
   double forced_slow_fraction = 0.0;  // Fig. 5: fraction of ops forced onto slow path
   bool scan_refsets_always = false;   // test hook: scan refsets even with counter == 0
-  bool hashed_scan = false;           // §5.2 optimization: one root sweep per scan
+  static constexpr bool hashed_scan = true;  // §5.2 root table; read by perfbench provenance
   // Robustness knobs (see DESIGN.md "Failure model & fault injection").
-  uint32_t inspect_retry_cap = 64;    // splits-counter retries before conservative "live"
+  uint32_t inspect_retry_cap = 64;    // splits-counter retries before an incomplete table
   uint32_t free_highwater_mult = 4;   // back-pressure high water = mult * max_free
   uint32_t watchdog_rounds = 8;       // scans without oper progress -> thread reported
   // Warm-start hook: JSON file (tools/predictor_tune output or a PredictorTableToJson

@@ -37,8 +37,8 @@ namespace stacktrack::runtime::fault {
 enum class Site : uint8_t {
   kSoftTxAbort = 0,  // forced abort at soft-HTM segment begin (htm/soft_backend.cc)
   kRtmTxAbort,       // forced xabort right after xbegin (htm/rtm_backend.cc)
-  kSplitsBump,       // scanner observes a phantom splits-counter change (InspectThread)
-  kInspectStall,     // reclaimer stalls inside the InspectThread validation window
+  kSplitsBump,       // root collector sees a phantom splits-counter change
+  kInspectStall,     // reclaimer stalls inside the root collector's validation window
   kExposeStall,      // owner stalls mid register exposure (splits seqlock held odd)
   kAllocFail,        // transient pool allocation failure (runtime/pool_alloc.cc)
   kThreadStall,      // thread stalls at PreemptPoint (bounded sleep or gate)

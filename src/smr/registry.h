@@ -9,10 +9,8 @@
 //   ForEachSchemeInfo(fn)      — fn(info) over every registered scheme, in order.
 //   ResolveSchemeSelection(..) — expand a --scheme= value ("all", "help", a name,
 //                                or a comma list) into validated scheme names.
-//   WithBenchDomain<Smr>(fn)   — construct the scheme's benchmark-default Domain
-//                                and call fn(domain); the single home for
-//                                scheme-specific construction (StackTrack's
-//                                production hashed-scan config).
+//   WithBenchDomain<Smr>(fn)   — construct the scheme's default Domain and call
+//                                fn(domain).
 //   SchemeEnvDefault(fallback) — ST_SCHEME environment override for benches whose
 //                                command line did not pick a scheme.
 #ifndef STACKTRACK_SMR_REGISTRY_H_
@@ -22,7 +20,6 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "core/thread_context.h"
@@ -189,20 +186,12 @@ inline bool ResolveSchemeSelection(std::string_view selection,
   return true;
 }
 
-// Constructs Smr's benchmark-default Domain and invokes fn(domain). StackTrack runs
-// get the production configuration (hashed scan, §5.2); every other scheme's
-// default constructor already is its production shape.
+// Constructs Smr's default Domain (every scheme's default is its production shape)
+// and invokes fn(domain).
 template <typename Smr, typename Fn>
 void WithBenchDomain(Fn&& fn) {
-  if constexpr (std::is_same_v<Smr, StackTrackSmr>) {
-    core::StConfig config;
-    config.hashed_scan = true;
-    typename Smr::Domain domain(config);
-    fn(domain);
-  } else {
-    typename Smr::Domain domain;
-    fn(domain);
-  }
+  typename Smr::Domain domain;
+  fn(domain);
 }
 
 }  // namespace stacktrack::smr

@@ -17,7 +17,7 @@ void TeleportSmr::Handle::OpBegin(uint32_t) {
   in_batch_ = false;
   slow_segment_ = false;
   op_forced_slow_ = false;
-  limit_ = domain_->config_.batch_limit;
+  limit_ = kBatchLimit;
   steps_left_ = limit_;
   attempt_fails_ = 0;
   used_slots_ = 0;  // OpEnd's ClearRow zeroed the whole row
@@ -87,7 +87,7 @@ void TeleportSmr::Handle::SlowSegmentStarted() {
   in_batch_ = false;
   // A fenced segment is plain hazard pointers: there is no validation window to
   // bound, so let it run to the end of the operation instead of paying segment
-  // teardown every batch_limit checkpoints. Batching is retried at the next op
+  // teardown every kBatchLimit checkpoints. Batching is retried at the next op
   // (OpBegin resets the abort streak).
   limit_ = UINT32_MAX;
   steps_left_ = UINT32_MAX;
@@ -228,11 +228,6 @@ TeleportSmr::Config TeleportSmr::Domain::DefaultConfig(uint32_t scan_threshold) 
   if (const char* env = std::getenv("ST_TELEPORT_BATCH");
       env != nullptr && env[0] == '0') {
     config.batching = false;
-  }
-  if (const char* env = std::getenv("ST_TELEPORT_LIMIT"); env != nullptr) {
-    if (const int limit = std::atoi(env); limit > 0) {
-      config.batch_limit = static_cast<uint32_t>(limit);
-    }
   }
   return config;
 }

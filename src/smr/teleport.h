@@ -49,15 +49,15 @@ struct TeleportSmr {
   static constexpr bool kSplits = true;
   static constexpr uint32_t kSlotsPerThread = 40;  // same budget as HazardSmr
   static constexpr uint32_t kGuardSets = 2;        // committed capture + open batch
+  // Basic blocks per attempted guard batch. Long batches amortize the per-segment
+  // cost (snapshot, begin point, commit validation); the read-log line dedup keeps a
+  // 256-block traversal segment around ~70 read-set lines, inside the machine model's
+  // capacity budget even in its degraded regimes. Aborts shorten the effective length
+  // anyway via Config::fallback_after.
+  static constexpr uint32_t kBatchLimit = 256;
 
   struct Config {
     uint32_t scan_threshold = 64;  // retired nodes buffered per thread before a scan
-    // Basic blocks per attempted guard batch. Long batches amortize the per-segment
-    // cost (snapshot, begin point, commit validation); the read-log line dedup keeps
-    // a 256-block traversal segment around ~70 read-set lines, inside the machine
-    // model's capacity budget even in its degraded regimes. Aborts shorten the
-    // effective length anyway via fallback_after.
-    uint32_t batch_limit = 256;
     uint32_t fallback_after = 2;   // consecutive aborts before a fenced segment
     bool batching = true;          // false => every segment runs plain fenced hazard
   };

@@ -25,6 +25,18 @@ namespace {
 namespace fault = runtime::fault;
 using fault::Site;
 
+// Does `target` pin the 64-byte node, as the root table would answer it? An incomplete
+// collection is the conservative "yes".
+bool Pins(core::StContext& reclaimer, const core::StContext& target, void* node) {
+  std::vector<uintptr_t> roots;
+  if (!core::CollectThreadRoots(reclaimer, target, /*check_refset=*/false, roots)) {
+    return true;
+  }
+  const uintptr_t base = reinterpret_cast<uintptr_t>(node);
+  return std::any_of(roots.begin(), roots.end(),
+                     [base](uintptr_t word) { return word - base < 64; });
+}
+
 // Every test leaves the injector fully disarmed and the deferred list empty, so the
 // whole suite can run in one process (plain ./fault_test) as well as one-per-process
 // under ctest.
@@ -173,7 +185,8 @@ TEST_F(FaultTest, ListSurvivesProbabilisticSoftAborts) {
 
 // A target parked with its splits counter odd simulates a thread stalled (or killed)
 // mid register exposure. The unbounded Algorithm 1 loop would spin forever; the
-// bounded loop must give up after inspect_retry_cap tries and answer "live".
+// bounded collector must give up after inspect_retry_cap tries and report an incomplete
+// table, which answers "live" for every candidate.
 TEST_F(FaultTest, InspectRetryCapAnswersConservativelyLive) {
   runtime::ThreadScope scope;
   core::StConfig config;
@@ -185,18 +198,16 @@ TEST_F(FaultTest, InspectRetryCapAnswersConservativelyLive) {
 
   void* node = runtime::PoolAllocator::Instance().Alloc(64);
   const uint64_t capped_before = reclaimer.stats.scan_retry_capped;
-  EXPECT_TRUE(core::InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node),
-                                  64, false));
+  EXPECT_TRUE(Pins(reclaimer, target, node));
   EXPECT_GT(reclaimer.stats.scan_retry_capped, capped_before);
 
   target.splits_seq.store(2, std::memory_order_release);  // exposure finished
-  EXPECT_FALSE(core::InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node),
-                                   64, false));
+  EXPECT_FALSE(Pins(reclaimer, target, node));
   runtime::PoolAllocator::Instance().Free(node);
 }
 
-// Phantom splits-counter bumps (kSplitsBump firing on every inspection) force the
-// seq-changed retry path to exhaust; the answer must again be conservative.
+// Phantom splits-counter bumps (kSplitsBump firing on every consistency check) force
+// the seq-changed retry path to exhaust; the answer must again be conservative.
 TEST_F(FaultTest, PhantomSplitsBumpExhaustsRetriesConservatively) {
   runtime::ThreadScope scope;
   core::StConfig config;
@@ -206,14 +217,12 @@ TEST_F(FaultTest, PhantomSplitsBumpExhaustsRetriesConservatively) {
   core::StContext target(/*tid=*/40, config);
 
   void* node = runtime::PoolAllocator::Instance().Alloc(64);
-  fault::ArmGate(Site::kSplitsBump);  // every inspection sees a phantom commit
+  fault::ArmGate(Site::kSplitsBump);  // every collection sees a phantom commit
   const uint64_t capped_before = reclaimer.stats.scan_retry_capped;
-  EXPECT_TRUE(core::InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node),
-                                  64, false));
+  EXPECT_TRUE(Pins(reclaimer, target, node));
   fault::Disarm(Site::kSplitsBump);
   EXPECT_GT(reclaimer.stats.scan_retry_capped, capped_before);
-  EXPECT_FALSE(core::InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node),
-                                   64, false));
+  EXPECT_FALSE(Pins(reclaimer, target, node));
   runtime::PoolAllocator::Instance().Free(node);
 }
 

@@ -1,4 +1,4 @@
-// Unit tests for the FREE procedure (Algorithm 1): root scanning across frames,
+// Unit tests for the FREE procedure (Algorithm 1): root collection across frames,
 // registers and reference sets, the consistency protocol, interior/tagged pointer
 // matching, and end-to-end liveness decisions.
 #include <gtest/gtest.h>
@@ -24,10 +24,23 @@ class FreeProcTest : public ::testing::Test {
   runtime::ThreadScope scope_;
   smr::StackTrackSmr::Domain domain_;
 
-  // A second context standing in for another thread (InspectThread only looks at the
-  // target's published state, so constructing it on this thread is fine).
+  // A second context standing in for another thread (CollectThreadRoots only looks at
+  // the target's published state, so constructing it on this thread is fine).
   static constexpr uint32_t kFakeTid = 40;
 };
+
+// Algorithm 1's per-thread answer through the root table: the target pins
+// [base, base + length) when its collection is incomplete (the conservative answer) or
+// one of its collected roots falls inside the range.
+bool Pins(StContext& reclaimer, const StContext& target, uintptr_t base,
+          std::size_t length, bool check_refset = false) {
+  std::vector<uintptr_t> roots;
+  if (!CollectThreadRoots(reclaimer, target, check_refset, roots)) {
+    return true;
+  }
+  return std::any_of(roots.begin(), roots.end(),
+                     [&](uintptr_t word) { return word - base < length; });
+}
 
 TEST_F(FreeProcTest, FindsPointerInTrackedFrame) {
   StContext& reclaimer = domain_.AcquireHandle();
@@ -36,9 +49,9 @@ TEST_F(FreeProcTest, FindsPointerInTrackedFrame) {
   void* node = runtime::PoolAllocator::Instance().Alloc(64);
 
   frame.words[2] = reinterpret_cast<uintptr_t>(node);
-  EXPECT_TRUE(InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64, false));
+  EXPECT_TRUE(Pins(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64));
   frame.words[2] = 0;
-  EXPECT_FALSE(InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64, false));
+  EXPECT_FALSE(Pins(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64));
   runtime::PoolAllocator::Instance().Free(node);
 }
 
@@ -50,11 +63,11 @@ TEST_F(FreeProcTest, FindsInteriorAndTaggedPointers) {
   const uintptr_t base = reinterpret_cast<uintptr_t>(node);
 
   frame.words[0] = base + 24;  // interior pointer (array element / member address)
-  EXPECT_TRUE(InspectThread(reclaimer, target, base, 64, false));
+  EXPECT_TRUE(Pins(reclaimer, target, base, 64));
   frame.words[0] = base | 1;  // mark-tagged pointer
-  EXPECT_TRUE(InspectThread(reclaimer, target, base, 64, false));
+  EXPECT_TRUE(Pins(reclaimer, target, base, 64));
   frame.words[0] = base + 64;  // one past the end: a different object
-  EXPECT_FALSE(InspectThread(reclaimer, target, base, 64, false));
+  EXPECT_FALSE(Pins(reclaimer, target, base, 64));
   frame.words[0] = 0;
   runtime::PoolAllocator::Instance().Free(node);
 }
@@ -67,9 +80,9 @@ TEST_F(FreeProcTest, FindsPointerInExposedRegisters) {
   // Only the *exposed* file is scanned; live register values are private until a
   // segment commit copies them out (the paper's EXPOSE_REGISTERS).
   target.reg<void*>(1) = node;
-  EXPECT_FALSE(InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64, false));
+  EXPECT_FALSE(Pins(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64));
   target.exposed_regs[1].store(reinterpret_cast<uintptr_t>(node), std::memory_order_release);
-  EXPECT_TRUE(InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64, false));
+  EXPECT_TRUE(Pins(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64));
   target.exposed_regs[1].store(0, std::memory_order_release);
   runtime::PoolAllocator::Instance().Free(node);
 }
@@ -80,12 +93,12 @@ TEST_F(FreeProcTest, RefSetConsultedOnlyWhenRequested) {
   void* node = runtime::PoolAllocator::Instance().Alloc(64);
 
   target.ref_set.Add(reinterpret_cast<uintptr_t>(node));
-  EXPECT_FALSE(InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64,
-                             /*check_refset=*/false));
-  EXPECT_TRUE(InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64,
-                            /*check_refset=*/true));
+  EXPECT_FALSE(Pins(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64,
+                    /*check_refset=*/false));
+  EXPECT_TRUE(Pins(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64,
+                   /*check_refset=*/true));
   target.ref_set.Clear();
-  EXPECT_FALSE(InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64, true));
+  EXPECT_FALSE(Pins(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64, true));
   runtime::PoolAllocator::Instance().Free(node);
 }
 
@@ -103,7 +116,7 @@ TEST_F(FreeProcTest, RefSetTombstoneRemovesEntry) {
 }
 
 TEST_F(FreeProcTest, CompletedOperationShortCircuitsToDead) {
-  // The scanner must stay parked on the odd seqlock until the completer's bump. The
+  // The collector must stay parked on the odd seqlock until the completer's bump. The
   // default retry cap can expire first on a loaded or single-CPU machine, turning the
   // expected "dead" into a conservative "live" — so make the budget effectively
   // unbounded and let the oper_counter change be the only exit.
@@ -116,18 +129,30 @@ TEST_F(FreeProcTest, CompletedOperationShortCircuitsToDead) {
   void* node = runtime::PoolAllocator::Instance().Alloc(64);
   frame.words[0] = reinterpret_cast<uintptr_t>(node);
 
-  // Mid-scan operation completion: an odd seqlock parks the scanner; an oper_counter
-  // bump from another thread while it waits must release it with "dead".
+  // Mid-collection operation completion: an odd seqlock parks the collector; an
+  // oper_counter bump from another thread while it waits must release it with "dead".
   target.splits_seq.store(1, std::memory_order_release);  // exposure "in flight"
+  std::atomic<bool> returned{false};
   std::thread completer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     target.oper_counter.fetch_add(1, std::memory_order_release);
+    // Safety valve: a collector that ignores the bump would wait on the odd seqlock
+    // forever; finishing the exposure lets it return (and the test fail) instead.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!returned.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    target.splits_seq.store(2, std::memory_order_release);
   });
   // Algorithm 1 lines 25-29: the op completed, so its roots are dead even though the
-  // frame still physically holds the pointer.
-  EXPECT_FALSE(InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node), 64, false));
+  // frame still physically holds the pointer. The thread contributes no roots and its
+  // collection counts as complete.
+  std::vector<uintptr_t> roots;
+  EXPECT_TRUE(CollectThreadRoots(reclaimer, target, /*check_refset=*/false, roots));
+  returned.store(true, std::memory_order_release);
+  EXPECT_TRUE(roots.empty());
   completer.join();
-  target.splits_seq.store(2, std::memory_order_release);
   frame.words[0] = 0;
   runtime::PoolAllocator::Instance().Free(node);
 }
@@ -192,7 +217,7 @@ TEST_F(FreeProcTest, MaxFreeThresholdTriggersScan) {
 }
 
 
-TEST_F(FreeProcTest, HashedScanMatchesPerCandidateScan) {
+TEST_F(FreeProcTest, ScanAndFreeKeepsInteriorAndTaggedPins) {
   StContext& reclaimer = domain_.AcquireHandle();
   const uint32_t target_tid = runtime::ThreadRegistry::Instance().RegisterCurrentThread();
   {
@@ -210,7 +235,7 @@ TEST_F(FreeProcTest, HashedScanMatchesPerCandidateScan) {
 
     reclaimer.MutableFreeSet() = {pinned_exact, dead_a, pinned_interior, dead_b,
                                   pinned_tagged};
-    ScanAndFreeHashed(reclaimer);
+    ScanAndFree(reclaimer);
     EXPECT_TRUE(pool.OwnsLive(pinned_exact));
     EXPECT_TRUE(pool.OwnsLive(pinned_interior));
     EXPECT_TRUE(pool.OwnsLive(pinned_tagged));
@@ -219,7 +244,7 @@ TEST_F(FreeProcTest, HashedScanMatchesPerCandidateScan) {
     EXPECT_EQ(reclaimer.free_set_size(), 3u);
 
     frame.words[0] = frame.words[1] = frame.words[2] = 0;
-    ScanAndFreeHashed(reclaimer);
+    ScanAndFree(reclaimer);
     EXPECT_EQ(reclaimer.free_set_size(), 0u);
     EXPECT_FALSE(pool.OwnsLive(pinned_exact));
   }
@@ -231,7 +256,6 @@ TEST_F(FreeProcTest, HashedScanEndToEndUnderChurn) {
   const auto before = pool.GetStats();
   {
     StConfig config;
-    config.hashed_scan = true;
     config.max_free = 8;
     smr::StackTrackSmr::Domain domain(config);
     ds::LockFreeList<smr::StackTrackSmr> list;

@@ -1,11 +1,16 @@
-// Tests for the staged reclamation pipeline's hashed scan (core/reclaim_engine.h):
-// every round collects its own root table, so pins written after an earlier round are
+// Tests for the staged reclamation pipeline's root table (core/reclaim_engine.h):
+// every round collects its own table, so pins written after an earlier round are
 // always observed; the reclaimer's own roots never block its frees while other
-// threads' roots do; and the incomplete-table rule (retry cap via injected phantom
-// splits bumps, odd-seq stalls, refset overflow) makes a round free nothing.
+// threads' roots do; a thread whose operation completes mid-collection contributes
+// nothing; and the incomplete-table rule (retry cap via injected phantom splits bumps,
+// odd-seq stalls, refset overflow) makes a round free nothing.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
+#include <atomic>
 #include <cstdint>
+#include <thread>
 
 #include "core/free_proc.h"
 #include "core/reclaim_engine.h"
@@ -29,12 +34,6 @@ class ReclaimEngineTest : public ::testing::Test {
     EXPECT_EQ(DeferredFreeList::Instance().Size(), 0u);
   }
 
-  static StConfig HashedConfig() {
-    StConfig config;
-    config.hashed_scan = true;
-    return config;
-  }
-
   runtime::ThreadScope scope_;
 };
 
@@ -51,9 +50,9 @@ struct SlotClaim {
 // verdicts are real — dead candidates are freed, pinned ones are kept.
 TEST_F(ReclaimEngineTest, SecondReclaimerKeepsPinnedAndFreesDead) {
   SlotClaim a_slot, b_slot, victim_slot;
-  StContext a(a_slot.tid, HashedConfig());
-  StContext b(b_slot.tid, HashedConfig());
-  StContext victim(victim_slot.tid, HashedConfig());
+  StContext a(a_slot.tid, StConfig{});
+  StContext b(b_slot.tid, StConfig{});
+  StContext victim(victim_slot.tid, StConfig{});
   TrackedFrame<2> frame(victim);
   auto& pool = runtime::PoolAllocator::Instance();
   void* pinned = pool.Alloc(64);
@@ -62,11 +61,11 @@ TEST_F(ReclaimEngineTest, SecondReclaimerKeepsPinnedAndFreesDead) {
   frame.words[0] = reinterpret_cast<uintptr_t>(pinned);
 
   a.MutableFreeSet() = {dead_a};
-  ScanAndFreeHashed(a);
+  ScanAndFree(a);
   EXPECT_FALSE(pool.OwnsLive(dead_a));
 
   b.MutableFreeSet() = {pinned, dead_b};
-  ScanAndFreeHashed(b);
+  ScanAndFree(b);
   EXPECT_TRUE(pool.OwnsLive(pinned)) << "table must block pinned nodes";
   EXPECT_FALSE(pool.OwnsLive(dead_b)) << "table must free dead nodes";
   EXPECT_EQ(b.stats.snapshot_reuses, 0u);
@@ -80,7 +79,7 @@ TEST_F(ReclaimEngineTest, SecondReclaimerKeepsPinnedAndFreesDead) {
 // counters did in between: a segment commit (splits_seq), an operation completion
 // (oper_counter), a slow-path read (refset growth).
 TEST_F(ReclaimEngineTest, PinAfterEarlierRoundSurvivesNextRound) {
-  StConfig config = HashedConfig();
+  StConfig config;
   config.scan_refsets_always = true;
   SlotClaim a_slot, b_slot, victim_slot;
   StContext a(a_slot.tid, config);
@@ -91,21 +90,21 @@ TEST_F(ReclaimEngineTest, PinAfterEarlierRoundSurvivesNextRound) {
   void* node = pool.Alloc(64);
 
   a.MutableFreeSet() = {pool.Alloc(64)};
-  ScanAndFreeHashed(a);  // a round that sees no pin on `node`
+  ScanAndFree(a);  // a round that sees no pin on `node`
   frame.words[0] = reinterpret_cast<uintptr_t>(node);
   victim.splits_seq.fetch_add(2, std::memory_order_release);
   b.MutableFreeSet() = {node};
-  ScanAndFreeHashed(b);
+  ScanAndFree(b);
   EXPECT_TRUE(pool.OwnsLive(node)) << "splits movement: pinned node freed";
 
   victim.oper_counter.fetch_add(1, std::memory_order_release);
-  ScanAndFreeHashed(b);
+  ScanAndFree(b);
   EXPECT_TRUE(pool.OwnsLive(node)) << "oper movement: pinned node freed";
 
   // The pin moves from the frame to the reference set.
   frame.words[0] = 0;
   victim.ref_set.Add(reinterpret_cast<uintptr_t>(node));
-  ScanAndFreeHashed(b);
+  ScanAndFree(b);
   EXPECT_TRUE(pool.OwnsLive(node)) << "refset pin: node freed";
   victim.ref_set.Clear();
 
@@ -118,19 +117,19 @@ TEST_F(ReclaimEngineTest, PinAfterEarlierRoundSurvivesNextRound) {
 // reclaimers and revalidated by counters alone would miss it and free the node.
 TEST_F(ReclaimEngineTest, SilentFramePinBlocksOtherReclaimersNextRound) {
   SlotClaim a_slot, b_slot, victim_slot;
-  StContext a(a_slot.tid, HashedConfig());
-  StContext b(b_slot.tid, HashedConfig());
-  StContext victim(victim_slot.tid, HashedConfig());
+  StContext a(a_slot.tid, StConfig{});
+  StContext b(b_slot.tid, StConfig{});
+  StContext victim(victim_slot.tid, StConfig{});
   TrackedFrame<2> frame(victim);
   auto& pool = runtime::PoolAllocator::Instance();
   void* node = pool.Alloc(64);
 
   a.MutableFreeSet() = {pool.Alloc(64)};
-  ScanAndFreeHashed(a);  // a complete round that sees no pin on `node`
+  ScanAndFree(a);  // a complete round that sees no pin on `node`
   frame.words[0] = reinterpret_cast<uintptr_t>(node);  // no counter moves
 
   b.MutableFreeSet() = {node};
-  ScanAndFreeHashed(b);
+  ScanAndFree(b);
   EXPECT_TRUE(pool.OwnsLive(node)) << "pin written without counter movement was missed";
 
   frame.words[0] = 0;
@@ -142,7 +141,7 @@ TEST_F(ReclaimEngineTest, SilentFramePinBlocksOtherReclaimersNextRound) {
 // exhaust the collection retry cap: the table is incomplete, and the round must free
 // NOTHING — not even completely unreferenced candidates.
 TEST_F(ReclaimEngineTest, RetryCappedCollectionFreesNothingAndPublishesNothing) {
-  StConfig config = HashedConfig();
+  StConfig config;
   config.inspect_retry_cap = 4;
   SlotClaim a_slot, victim_slot;
   StContext a(a_slot.tid, config);
@@ -152,7 +151,7 @@ TEST_F(ReclaimEngineTest, RetryCappedCollectionFreesNothingAndPublishesNothing) 
 
   fault::ArmGate(Site::kSplitsBump);
   a.MutableFreeSet() = {dead};
-  ScanAndFreeHashed(a);
+  ScanAndFree(a);
   fault::Disarm(Site::kSplitsBump);
 
   EXPECT_TRUE(pool.OwnsLive(dead)) << "incomplete table cannot prove deadness";
@@ -168,7 +167,7 @@ TEST_F(ReclaimEngineTest, RetryCappedCollectionFreesNothingAndPublishesNothing) 
 // A thread parked with its splits counter odd (stalled mid-exposure) starves the
 // collection through the odd-seq retry path, with the same frees-nothing outcome.
 TEST_F(ReclaimEngineTest, OddSeqStallMakesRoundIncomplete) {
-  StConfig config = HashedConfig();
+  StConfig config;
   config.inspect_retry_cap = 4;
   SlotClaim a_slot, victim_slot;
   StContext a(a_slot.tid, config);
@@ -178,7 +177,7 @@ TEST_F(ReclaimEngineTest, OddSeqStallMakesRoundIncomplete) {
 
   victim.splits_seq.store(1, std::memory_order_release);  // exposure "in flight"
   a.MutableFreeSet() = {dead};
-  ScanAndFreeHashed(a);
+  ScanAndFree(a);
   EXPECT_TRUE(pool.OwnsLive(dead));
   EXPECT_GE(a.stats.snapshot_incomplete, 1u);
 
@@ -187,10 +186,44 @@ TEST_F(ReclaimEngineTest, OddSeqStallMakesRoundIncomplete) {
   EXPECT_FALSE(pool.OwnsLive(dead));
 }
 
+// Algorithm 1's oper-counter shortcut, through a whole round: the victim is parked
+// mid-exposure (splits counter odd) with the candidate still in its tracked frame, and
+// its operations complete while the round waits on it. A completed operation's roots
+// are dead, so the round must free the candidate rather than exhaust the (default)
+// retry cap into an incomplete table that frees nothing.
+TEST_F(ReclaimEngineTest, CompletedOperationLetsRoundFreeDespiteOddSeq) {
+  SlotClaim a_slot, victim_slot;
+  StContext a(a_slot.tid, StConfig{});
+  StContext victim(victim_slot.tid, StConfig{});
+  TrackedFrame<2> frame(victim);
+  auto& pool = runtime::PoolAllocator::Instance();
+  void* node = pool.Alloc(64);
+  frame.words[0] = reinterpret_cast<uintptr_t>(node);
+  victim.splits_seq.store(1, std::memory_order_release);  // exposure "in flight"
+
+  std::atomic<bool> done{false};
+  std::thread completer([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      victim.oper_counter.fetch_add(1, std::memory_order_release);
+      sched_yield();
+    }
+  });
+  a.MutableFreeSet() = {node};
+  ScanAndFree(a);
+  done.store(true, std::memory_order_release);
+  completer.join();
+  victim.splits_seq.store(2, std::memory_order_release);
+  frame.words[0] = 0;
+
+  EXPECT_FALSE(pool.OwnsLive(node)) << "a completed operation's root blocked the free";
+  EXPECT_EQ(a.free_set_size(), 0u);
+  EXPECT_EQ(a.stats.snapshot_incomplete, 0u);
+}
+
 // An overflowed reference set cannot be enumerated into a table; with refset
 // scanning in force the round is incomplete and frees nothing.
 TEST_F(ReclaimEngineTest, RefsetOverflowMakesRoundIncomplete) {
-  StConfig config = HashedConfig();
+  StConfig config;
   config.scan_refsets_always = true;
   SlotClaim a_slot, victim_slot;
   StContext a(a_slot.tid, config);
@@ -204,7 +237,7 @@ TEST_F(ReclaimEngineTest, RefsetOverflowMakesRoundIncomplete) {
   ASSERT_TRUE(victim.ref_set.overflowed());
 
   a.MutableFreeSet() = {dead};
-  ScanAndFreeHashed(a);
+  ScanAndFree(a);
   EXPECT_TRUE(pool.OwnsLive(dead));
   EXPECT_GE(a.stats.snapshot_incomplete, 1u);
 
@@ -217,14 +250,14 @@ TEST_F(ReclaimEngineTest, RefsetOverflowMakesRoundIncomplete) {
 // dead by contract: collection skips the reclaimer's thread, so they never block.
 TEST_F(ReclaimEngineTest, SharedTableExcludesReclaimersOwnRoots) {
   SlotClaim b_slot;
-  StContext b(b_slot.tid, HashedConfig());
+  StContext b(b_slot.tid, StConfig{});
   TrackedFrame<2> frame(b);  // b's own (dead-by-contract) root
   auto& pool = runtime::PoolAllocator::Instance();
   void* node = pool.Alloc(64);
   frame.words[0] = reinterpret_cast<uintptr_t>(node);
 
   b.MutableFreeSet() = {node};
-  ScanAndFreeHashed(b);
+  ScanAndFree(b);
   EXPECT_FALSE(pool.OwnsLive(node))
       << "a reclaimer's own roots must not block its frees";
   frame.words[0] = 0;
@@ -233,15 +266,15 @@ TEST_F(ReclaimEngineTest, SharedTableExcludesReclaimersOwnRoots) {
 // ...but the same root in ANOTHER thread's frame does block the free.
 TEST_F(ReclaimEngineTest, SharedTableKeepsOtherThreadsRoots) {
   SlotClaim a_slot, b_slot;
-  StContext a(a_slot.tid, HashedConfig());
-  StContext b(b_slot.tid, HashedConfig());
+  StContext a(a_slot.tid, StConfig{});
+  StContext b(b_slot.tid, StConfig{});
   TrackedFrame<2> frame(a);
   auto& pool = runtime::PoolAllocator::Instance();
   void* node = pool.Alloc(64);
   frame.words[0] = reinterpret_cast<uintptr_t>(node);
 
   b.MutableFreeSet() = {node};
-  ScanAndFreeHashed(b);
+  ScanAndFree(b);
   EXPECT_TRUE(pool.OwnsLive(node));
 
   frame.words[0] = 0;
